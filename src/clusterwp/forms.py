@@ -23,8 +23,8 @@ import itertools
 import re
 
 from .exprs import ExprError, parse_expression
-from .laurent import LaurentPoly, NotLaurent, RationalFn, VarTable
-from .seeds import Seed, _exchange_binomial
+from .laurent import LaurentError, LaurentPoly, NotLaurent, RationalFn, VarTable
+from .seeds import _exchange_partner, mutate_matrix
 
 
 class FormFileError(ValueError):
@@ -35,10 +35,6 @@ class FormFileError(ValueError):
         super().__init__(f"{filename}:{line}: {reason}")
 
 
-def _chart_table(seed):
-    return VarTable(seed.names)
-
-
 class ChartForm:
     """2-form in a seed's chart: slot (i, j), i < j, holds the df_i∧df_j
     coefficient as a RationalFn in the chart variables.  Zero coefficients
@@ -46,7 +42,7 @@ class ChartForm:
 
     def __init__(self, chart, coeffs):
         self.chart = chart
-        table = _chart_table(chart)
+        table = chart.chart()
         self.table = table
         clean = {}
         n = chart.matrix.n
@@ -91,7 +87,7 @@ class ChartForm:
 
 def wp_form(seed):
     """The Weil-Petersson chart form of a seed."""
-    table = _chart_table(seed)
+    table = seed.chart()
     coeffs = {}
     for i in range(1, seed.matrix.m + 1):
         fi = LaurentPoly.variable(table, seed.names[i - 1])
@@ -115,7 +111,7 @@ class SymbolicForm:
 
     def __init__(self, chart, extra_gens, terms):
         self.chart = chart
-        chart_table = _chart_table(chart)
+        chart_table = chart.chart()
         names = list(chart.names)
         gens = {nm: LaurentPoly.variable(chart_table, nm) for nm in chart.names}
         for name, expansion in extra_gens.items():
@@ -141,10 +137,6 @@ class SymbolicForm:
                 clean.append((coeff, g, h))
         self.terms = tuple(clean)
 
-    def extra_gen_names(self):
-        return tuple(nm for nm in self.table.names if nm not in
-                     set(self.chart.names))
-
     def __repr__(self):
         inner = " + ".join(f"({c.to_expr()})d{g}^d{h}" for c, g, h in self.terms)
         return f"<SymbolicForm {inner or '0'}>"
@@ -155,7 +147,7 @@ def reduce_to_chart(form, chart):
     through its generator's expansion: d(g) = sum_i (dg/df_i) df_i."""
     if chart != form.chart:
         raise ValueError("chart mismatch: form was built over a different seed")
-    chart_table = _chart_table(chart)
+    chart_table = chart.chart()
     bindings = {nm: RationalFn(exp) for nm, exp in form.gens.items()}
     partials = {nm: [exp.partial(v) for v in chart.names]
                 for nm, exp in form.gens.items()}
@@ -178,15 +170,13 @@ def reduce_to_chart(form, chart):
 def pullback(form, target, k):
     """Pull a ChartForm on the chart mu_k(target) back to target's chart by
     substituting f_k' = P_k/f_k and fixing the other variables."""
-    mutated = target.mutated(k)
-    if form.chart.matrix != mutated.matrix or form.chart.names[:k - 1] != \
+    if form.chart.matrix != mutate_matrix(target.matrix, k) or form.chart.names[:k - 1] != \
             target.names[:k - 1] or form.chart.names[k:] != target.names[k:]:
         raise ValueError(f"chart mismatch: form is not on a mutation of this "
                          f"seed at direction {k}")
-    chart_table = _chart_table(target)
+    chart_table = target.chart()
     chart_vars = [LaurentPoly.variable(chart_table, nm) for nm in target.names]
-    binomial = _exchange_binomial(target.matrix.rows[k - 1], chart_vars, chart_table)
-    partner = (binomial / chart_vars[k - 1]).as_laurent()
+    partner = _exchange_partner(target.matrix, k, chart_vars, chart_table)
     partner_name = form.chart.names[k - 1]
     sym_table = VarTable(target.names + (partner_name,))
     rebase = {nm: RationalFn(LaurentPoly.variable(sym_table, nm))
@@ -279,7 +269,7 @@ def parse_form_file(text, chart, filename="<input>"):
     Generator expansions may reference chart variables and earlier gens and
     must be Laurent in the chart.  ``#`` starts a comment.
     """
-    chart_table = _chart_table(chart)
+    chart_table = chart.chart()
     gen_lines = []
     term_lines = []
     for no, raw in enumerate(text.splitlines(), 1):
@@ -307,14 +297,13 @@ def parse_form_file(text, chart, filename="<input>"):
             raise FormFileError(filename, no, str(exc)) from None
         try:
             value = parse_expression(expr_text, VarTable(names))
-        except ExprError as exc:
-            raise FormFileError(filename, no, str(exc)) from None
-        try:
             expansion = value.substitute(bindings, chart_table).as_laurent()
         except NotLaurent:
             raise FormFileError(
                 filename, no,
                 f"expansion of {name!r} is not Laurent in the chart") from None
+        except (ExprError, LaurentError) as exc:
+            raise FormFileError(filename, no, str(exc)) from None
         names.append(name)
         gens[name] = expansion
         bindings[name] = RationalFn(expansion)
@@ -333,7 +322,7 @@ def parse_form_file(text, chart, filename="<input>"):
                 raise FormFileError(filename, no, f"unknown generator {nm!r}")
         try:
             coeff = parse_expression(expr_text, table)
-        except ExprError as exc:
+        except (ExprError, LaurentError) as exc:
             raise FormFileError(filename, no, str(exc)) from None
         terms.append((coeff, g, h))
     return SymbolicForm(chart, gens, terms)

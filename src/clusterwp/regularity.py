@@ -11,8 +11,8 @@ whenever no two vanishing variables are exchange-adjacent.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .exact import (
     ExactMatrix,
@@ -28,7 +28,8 @@ from .seeds import (
     NotFoundWithinBudget,
     Presentation,
     Seed,
-    _exchange_binomial,
+    _exchange_partner,
+    _walk,
     prime_toggle,
 )
 
@@ -295,14 +296,13 @@ def regularize_at(seed, pattern, namer=None):
                     f"with their columns; B_{i}{j} = {mat.b(i, j)} but "
                     f"B_{j}{i} = {mat.b(j, i)}")
 
-    chart_table = VarTable(seed.names)
+    chart_table = seed.chart()
     chart_vars = [LaurentPoly.variable(chart_table, nm) for nm in seed.names]
     primes = {}
     extras = {}
     for i in v_sorted:
         pname = namer(seed, i) if namer is not None else prime_toggle(seed.names[i - 1])
-        binomial = _exchange_binomial(mat.rows[i - 1], chart_vars, chart_table)
-        extras[pname] = (binomial / chart_vars[i - 1]).as_laurent()
+        extras[pname] = _exchange_partner(mat, i, chart_vars, chart_table)
         primes[i] = pname
 
     sym_table = VarTable(seed.names + tuple(extras))
@@ -354,27 +354,14 @@ def point_vanishing_oracle(point):
 def find_regularizing_seed(start, v_oracle, max_depth=3, max_seeds=1000,
                            namer=None):
     """Breadth-first search of the mutation graph for a seed whose chart
-    admits the regularizing rewrite for its oracle-supplied vanishing set."""
-    seen = {start.cluster_key()}
-    queue = deque([(start, 0)])
-    examined = 0
-    while queue:
-        s, depth = queue.popleft()
-        examined += 1
+    admits the regularizing rewrite for its oracle-supplied vanishing set,
+    among the first max_seeds distinct clusters in breadth-first order, none
+    deeper than max_depth; raises NotFoundWithinBudget if none does."""
+    for s, _ in islice(_walk(start, max_depth), max(max_seeds, 1)):
         try:
             return s, regularize_at(s, v_oracle(s), namer=namer)
         except HypothesisViolated:
             pass
-        if examined >= max_seeds:
-            break
-        if depth == max_depth:
-            continue
-        for k in range(1, s.matrix.m + 1):
-            t = s.mutated(k)
-            key = t.cluster_key()
-            if key not in seen:
-                seen.add(key)
-                queue.append((t, depth + 1))
     raise NotFoundWithinBudget(
         f"no regularizing seed within {max_seeds} seeds at depth <= {max_depth}")
 

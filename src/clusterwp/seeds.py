@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 from .laurent import LaurentPoly, NotLaurent, VarTable
@@ -152,6 +153,13 @@ def _exchange_binomial(row, factors, table):
     return pos + neg
 
 
+def _exchange_partner(matrix, k, factors, table):
+    """x_k' = P_k / x_k: the exchange binomial of row k over the replaced
+    variable ``factors[k-1]``.  Raises NotLaurent if that is not Laurent."""
+    binomial = _exchange_binomial(matrix.rows[k - 1], factors, table)
+    return (binomial / factors[k - 1]).as_laurent()
+
+
 @dataclass(frozen=True)
 class Seed:
     """Exchange matrix plus labelled variables with initial-chart expansions.
@@ -181,11 +189,9 @@ class Seed:
     def mutated(self, k, new_name=None):
         """Seed mutation in direction k; the replaced variable is renamed by
         prime-toggling unless an explicit name is supplied."""
-        if not (1 <= k <= self.matrix.m):
-            raise ValueError(f"mutation direction {k} not in 1..{self.matrix.m}")
-        binomial = _exchange_binomial(self.matrix.rows[k - 1], self.expansions, self.table)
+        matrix = mutate_matrix(self.matrix, k)     # validates the direction
         try:
-            new_exp = (binomial / self.expansions[k - 1]).as_laurent()
+            new_exp = _exchange_partner(self.matrix, k, self.expansions, self.table)
         except NotLaurent as exc:    # pragma: no cover - would break Laurentness
             raise MutationArithmeticError(
                 f"mutation of {self.names[k - 1]} in direction {k} "
@@ -195,8 +201,7 @@ class Seed:
         names[k - 1] = new_name if new_name is not None else prime_toggle(names[k - 1])
         expansions = list(self.expansions)
         expansions[k - 1] = new_exp
-        return Seed(mutate_matrix(self.matrix, k), tuple(names), self.table,
-                    tuple(expansions))
+        return Seed(matrix, tuple(names), self.table, tuple(expansions))
 
     def renamed(self, k, name):
         names = list(self.names)
@@ -211,35 +216,31 @@ class Seed:
 def find_directed_cycle(matrix):
     """Directed cycle in the quiver on mutable indices (edge i->j iff
     B_ij > 0), as a 1-based tuple, or None.  Deterministic: DFS from the
-    lowest index with neighbours taken in ascending order."""
+    lowest index with neighbours taken in ascending order.  The DFS keeps
+    its own stack, so long quivers do not hit the recursion limit."""
     m, rows = matrix.m, matrix.rows
     color = [0] * m
-    stack = []
-    result = None
-
-    def visit(u):
-        nonlocal result
-        color[u] = 1
-        stack.append(u)
-        for v in range(m):
-            if v == u or rows[u][v] <= 0:
-                continue
-            if color[v] == 1:
-                at = stack.index(v)
-                result = tuple(w + 1 for w in stack[at:])
-                return
-            if color[v] == 0:
-                visit(v)
-                if result is not None:
-                    return
-        stack.pop()
-        color[u] = 2
-
-    for r in range(m):
-        if color[r] == 0:
-            visit(r)
-            if result is not None:
-                return result
+    for root in range(m):
+        if color[root]:
+            continue
+        color[root] = 1
+        path = [root]
+        pending = [iter(range(m))]   # neighbours still to try, per path node
+        while path:
+            u = path[-1]
+            for v in pending[-1]:
+                if v == u or rows[u][v] <= 0:
+                    continue
+                if color[v] == 1:
+                    return tuple(w + 1 for w in path[path.index(v):])
+                if color[v] == 0:
+                    color[v] = 1
+                    path.append(v)
+                    pending.append(iter(range(m)))
+                    break
+            else:
+                color[path.pop()] = 2
+                pending.pop()
     return None
 
 
@@ -247,29 +248,35 @@ def is_acyclic(matrix):
     return find_directed_cycle(matrix) is None
 
 
-def find_acyclic_seed(seed, max_seeds=1000, max_depth=16):
-    """Breadth-first search of the mutation graph for an acyclic seed.
-
-    Raises NotFoundWithinBudget once max_seeds distinct clusters have been
-    examined (or every node within max_depth has been)."""
+def _walk(seed, max_depth, step=Seed.mutated):
+    """Breadth-first walk of the exchange graph from ``seed``, yielding
+    ``(seed, depth)`` for each distinct cluster (by ``cluster_key``) the
+    moment it is discovered, the start first; discovery order is also
+    expansion order.  Seeds at ``max_depth`` are not expanded.
+    ``step(s, k)`` makes the neighbour of ``s`` in direction k."""
     seen = {seed.cluster_key()}
     queue = deque([(seed, 0)])
-    examined = 0
+    yield seed, 0
     while queue:
         s, depth = queue.popleft()
-        examined += 1
-        if is_acyclic(s.matrix):
-            return s
-        if examined >= max_seeds:
-            break
         if depth == max_depth:
             continue
         for k in range(1, s.matrix.m + 1):
-            t = s.mutated(k)
-            ck = t.cluster_key()
-            if ck not in seen:
-                seen.add(ck)
+            t = step(s, k)
+            key = t.cluster_key()
+            if key not in seen:
+                seen.add(key)
                 queue.append((t, depth + 1))
+                yield t, depth + 1
+
+
+def find_acyclic_seed(seed, max_seeds=1000, max_depth=16):
+    """Breadth-first search of the mutation graph for an acyclic seed among
+    the first max_seeds distinct clusters in breadth-first order, none
+    deeper than max_depth; raises NotFoundWithinBudget if none is."""
+    for s, _ in islice(_walk(seed, max_depth), max(max_seeds, 1)):
+        if is_acyclic(s.matrix):
+            return s
     raise NotFoundWithinBudget(
         f"no acyclic seed within {max_seeds} seeds at depth <= {max_depth}"
     )
@@ -371,8 +378,7 @@ class Exploration:
             for idx, s in enumerate(self.seeds):
                 for k in range(1, s.matrix.m + 1):
                     row = s.matrix.rows[k - 1]
-                    binomial = _exchange_binomial(row, s.expansions, s.table)
-                    partner_exp = (binomial / s.expansions[k - 1]).as_laurent()
+                    partner_exp = _exchange_partner(s.matrix, k, s.expansions, s.table)
                     pos = tuple((s.names[j], b) for j, b in enumerate(row) if b > 0)
                     neg = tuple((s.names[j], -b) for j, b in enumerate(row) if b < 0)
                     rels.append(ExchangeRelation(
@@ -385,52 +391,39 @@ class Exploration:
 def explore(seed, max_seeds=1000, max_depth=16, namer=None):
     """Breadth-first exploration of the mutation graph from a seed.
 
-    Clusters are deduplicated by their expansion multisets, so the walk
-    terminates on finite exchange graphs.  Newly met variables are named by
-    ``namer(seed, k)`` (default: prime-toggle of the replaced name), with
-    primes appended until the name is fresh; variables met again keep their
-    first name.  ``truncated`` is set when the seed budget bites or a node at
-    the depth cap is left unexpanded.
+    Keeps the first max_seeds distinct clusters in breadth-first order,
+    none deeper than max_depth.  Clusters are deduplicated by their
+    expansion multisets, so the walk terminates on finite exchange graphs.
+    Newly met variables are named by ``namer(seed, k)`` (default:
+    prime-toggle of the replaced name), with primes appended until the name
+    is fresh; variables met again keep their first name.  ``truncated`` is
+    set when the seed budget bites or a node at the depth cap is left
+    unexpanded.
     """
     registry = {}
     used = set()
     for name, exp in zip(seed.names, seed.expansions):
         registry[exp.canonical_key()] = name
         used.add(name)
-    seeds = [seed]
-    seen = {seed.cluster_key()}
-    queue = deque([(0, 0)])
-    truncated = False
-    while queue:
-        idx, depth = queue.popleft()
-        s = seeds[idx]
-        if depth == max_depth:
-            truncated = True
-            continue
-        for k in range(1, s.matrix.m + 1):
-            t = s.mutated(k)
-            ck = t.cluster_key()
-            if ck in seen:
-                continue
-            if len(seeds) >= max_seeds:
-                truncated = True
-                queue.clear()
-                break
-            key = t.expansions[k - 1].canonical_key()
-            if key in registry:
-                name = registry[key]
-            else:
-                name = namer(s, k) if namer is not None else prime_toggle(s.names[k - 1])
-                while name in used:
-                    name += "'"
-                registry[key] = name
-                used.add(name)
-            if name != t.names[k - 1]:
-                t = t.renamed(k, name)
-            seen.add(ck)
-            seeds.append(t)
-            queue.append((len(seeds) - 1, depth + 1))
-    return Exploration(seeds, truncated)
+
+    def step(s, k):
+        t = s.mutated(k)
+        key = t.expansions[k - 1].canonical_key()
+        if key in registry:
+            name = registry[key]
+        else:
+            name = namer(s, k) if namer is not None else prime_toggle(s.names[k - 1])
+            while name in used:
+                name += "'"
+            registry[key] = name
+            used.add(name)
+        return t if name == t.names[k - 1] else t.renamed(k, name)
+
+    walk = _walk(seed, max_depth, step)
+    kept = list(islice(walk, max(max_seeds, 1)))
+    truncated = (next(walk, None) is not None
+                 or any(depth == max_depth for _, depth in kept))
+    return Exploration([s for s, _ in kept], truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,23 @@ def test_explore_budget_truncates(capsys):
     assert "truncated yes" in out.splitlines()
 
 
+@pytest.mark.parametrize("flags,clusters,truncated", [
+    (["--max-seeds", "0"], 1, "yes"),
+    (["--max-seeds", "1"], 1, "yes"),
+    (["--max-seeds", "13"], 13, "yes"),
+    (["--max-seeds", "14"], 14, "no"),
+    (["--max-depth", "0"], 1, "yes"),
+])
+def test_explore_budget_edges(capsys, flags, clusters, truncated):
+    # the budget counts the first N distinct clusters in breadth-first
+    # order, the start included; a3 has exactly 14
+    rc, out, _ = run(capsys, "explore", "a3", *flags)
+    lines = out.splitlines()
+    assert rc == 0
+    assert lines[0] == f"clusters {clusters}"
+    assert lines[2] == f"truncated {truncated}"
+
+
 # ---------------------------------------------------------------------------
 # acyclic
 
@@ -144,6 +161,39 @@ def test_acyclic_search_fails_on_markov(capsys):
     rc, out, _ = run(capsys, "acyclic", "markov", "--search", "30")
     assert rc == 1
     assert out.startswith("no acyclic seed found")
+
+
+def test_acyclic_search_zero_budget(capsys):
+    rc, out, _ = run(capsys, "acyclic", "markov", "--search", "0")
+    assert (rc, out) == (
+        1, "no acyclic seed found: no acyclic seed within 0 seeds at depth <= 16\n")
+
+
+def _long_quiver_file(tmp_path, n, close):
+    """Seed file of the linear quiver 1 -> 2 -> ... -> n, closed into an
+    n-cycle by n -> 1 when ``close`` is set."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        rows[i][i + 1], rows[i + 1][i] = 1, -1
+    if close:
+        rows[n - 1][0], rows[0][n - 1] = 1, -1
+    lines = [f"rank {n}", f"mutable {n}",
+             "names " + " ".join(f"y{i}" for i in range(1, n + 1))]
+    lines += ["row " + " ".join(map(str, row)) for row in rows]
+    path = tmp_path / "long.seed"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_acyclic_long_chain_does_not_recurse(capsys, tmp_path):
+    rc, out, err = run(capsys, "acyclic", _long_quiver_file(tmp_path, 1200, False))
+    assert (rc, out, err) == (0, "acyclic\n", "")
+
+
+def test_acyclic_long_cycle_is_reported(capsys, tmp_path):
+    rc, out, err = run(capsys, "acyclic", _long_quiver_file(tmp_path, 1200, True))
+    assert (rc, err) == (1, "")
+    assert out == "cycle: " + " -> ".join(map(str, range(1, 1201))) + "\n"
 
 
 def test_acyclic_search_succeeds_from_cyclic_chart(capsys, tmp_path):
@@ -265,6 +315,17 @@ def test_equal_bad_form_file(capsys, tmp_path):
     rc, _, err = run(capsys, "equal", "sl2", a, str(bad))
     assert rc == 2
     assert "bad.form:1:" in err
+
+
+@pytest.mark.parametrize("text", ["1/(x-x) ; x ; c1\n", "gen y = 1/(x - x)\n"],
+                         ids=["term", "gen"])
+def test_equal_zero_division_in_form_file(capsys, tmp_path, text):
+    a = _write(capsys, tmp_path, "wp.form", "wp", "sl2")
+    bad = tmp_path / "bad.form"
+    bad.write_text(text)
+    rc, out, err = run(capsys, "equal", "sl2", str(bad), a)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {bad}:1: inverse of the zero rational function\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,56 @@
+"""Golden transcripts of the exchange-graph walkers.
+
+``tests/golden/*.out`` hold the exact stdout of the walker commands
+(``explore``, ``acyclic --search``, ``regularize --search``) and of
+``scripts/tour.py``, which calls every walker consumer.  A refactor of the
+walk must reproduce them byte for byte; they are never regenerated from the
+code under test.  ``@name`` in an argument list names a seed file in the
+golden directory.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+from clusterwp.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+TOUR = Path(__file__).parent.parent / "scripts" / "tour.py"
+
+CASES = [
+    ("explore-sl2", 0, ["explore", "sl2"]),
+    ("explore-a3", 0, ["explore", "a3"]),
+    ("explore-affine-a11-depth6", 0, ["explore", "affine-a11", "--max-depth", "6"]),
+    ("explore-markov-30", 0, ["explore", "markov", "--max-seeds", "30"]),
+    ("acyclic-sl2-search50", 0, ["acyclic", "sl2", "--search", "50"]),
+    ("acyclic-a3-search50", 0, ["acyclic", "a3", "--search", "50"]),
+    ("acyclic-affine-a11-search50", 0, ["acyclic", "affine-a11", "--search", "50"]),
+    ("acyclic-markov-search50", 1, ["acyclic", "markov", "--search", "50"]),
+    ("acyclic-a3-cyclic-search50", 0,
+     ["acyclic", "@a3-cyclic.seed", "--search", "50"]),
+    ("regularize-a3-13-search50", 0,
+     ["regularize", "a3", "--pattern", "1,3", "--search", "50"]),
+    ("regularize-a3-123-search50", 1,
+     ["regularize", "a3", "--pattern", "1,2,3", "--search", "50"]),
+    ("regularize-markov-13-search50", 1,
+     ["regularize", "markov", "--pattern", "1,3", "--search", "50"]),
+    ("regularize-markov-123-search50", 1,
+     ["regularize", "markov", "--pattern", "1,2,3", "--search", "50"]),
+    ("regularize-a3-file-12-search50", 0,
+     ["regularize", "@a3.seed", "--pattern", "1,2", "--search", "50"]),
+]
+
+
+@pytest.mark.parametrize("name,code,argv", CASES, ids=[c[0] for c in CASES])
+def test_cli_transcript(capsys, name, code, argv):
+    argv = [str(GOLDEN / a[1:]) if a.startswith("@") else a for a in argv]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (code, "")
+    assert captured.out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_tour_transcript(capsys):
+    runpy.run_path(str(TOUR), run_name="__main__")
+    assert capsys.readouterr().out == (GOLDEN / "tour.out").read_text()

@@ -309,6 +309,19 @@ def test_search_markov_all_vanish_fails():
                                max_depth=3)
 
 
+def test_search_respects_depth_and_seed_budget():
+    # without a namer the a3 chart where {1, 2} can vanish is the eighth
+    # distinct cluster in breadth-first order, at depth 2
+    oracle = constant_vanishing_oracle({1, 2})
+    seed, form = find_regularizing_seed(A3, oracle, max_depth=2, max_seeds=8)
+    assert seed.names == ("x13", "x14'", "x15'")
+    assert forms_equal(reduce_to_chart(form, seed), wp_form(seed))
+    with pytest.raises(NotFoundWithinBudget, match="depth <= 1"):
+        find_regularizing_seed(A3, oracle, max_depth=1, max_seeds=100)
+    with pytest.raises(NotFoundWithinBudget, match="within 7 seeds"):
+        find_regularizing_seed(A3, oracle, max_depth=2, max_seeds=7)
+
+
 def test_search_from_point():
     p = AlgebraPoint({"x13": 0, "x14": -1, "x15": 0}, None)
     seed, form = find_regularizing_seed(A3, point_vanishing_oracle(p),

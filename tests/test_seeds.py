@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterwp.laurent import LaurentPoly, VarTable
 from clusterwp.seeds import (
@@ -195,6 +197,59 @@ def test_cycle_edges_positive():
         assert MARKOV.b(a, b) > 0
 
 
+def recursive_directed_cycle(matrix):
+    """Reference DFS: lowest start first, neighbours ascending."""
+    m, rows = matrix.m, matrix.rows
+    color = [0] * m
+    stack = []
+    result = None
+
+    def visit(u):
+        nonlocal result
+        color[u] = 1
+        stack.append(u)
+        for v in range(m):
+            if v == u or rows[u][v] <= 0:
+                continue
+            if color[v] == 1:
+                at = stack.index(v)
+                result = tuple(w + 1 for w in stack[at:])
+                return
+            if color[v] == 0:
+                visit(v)
+                if result is not None:
+                    return
+        stack.pop()
+        color[u] = 2
+
+    for r in range(m):
+        if color[r] == 0:
+            visit(r)
+            if result is not None:
+                return result
+    return None
+
+
+@st.composite
+def skew_symmetric_matrices(draw):
+    m = draw(st.integers(1, 7))
+    n = m + draw(st.integers(0, 2))
+    rows = [[0] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            b = draw(st.integers(-2, 2))
+            rows[i][j], rows[j][i] = b, -b
+        for j in range(m, n):
+            rows[i][j] = draw(st.integers(-2, 2))
+    return ExchangeMatrix(m, n, tuple(tuple(row) for row in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(skew_symmetric_matrices())
+def test_directed_cycle_matches_recursive_dfs(matrix):
+    assert find_directed_cycle(matrix) == recursive_directed_cycle(matrix)
+
+
 def test_find_acyclic_seed_immediate():
     s = a3_seed()
     found = find_acyclic_seed(s, max_seeds=10)
@@ -211,6 +266,26 @@ def test_find_acyclic_seed_one_step():
 def test_find_acyclic_seed_markov_budget():
     with pytest.raises(NotFoundWithinBudget):
         find_acyclic_seed(markov_seed(), max_seeds=50)
+
+
+# Two oriented triangles sharing vertex 3 (mutation type A_5): the first
+# acyclic seed is the ninth distinct cluster in breadth-first order, at
+# depth 2.
+TWO_TRIANGLES = ExchangeMatrix(5, 5, (
+    (0, -1, 1, 0, 0), (1, 0, -1, 0, 0), (-1, 1, 0, -1, 1),
+    (0, 0, 1, 0, -1), (0, 0, -1, 1, 0)))
+
+
+def test_find_acyclic_seed_budget_edge():
+    s = Seed.initial(TWO_TRIANGLES, ("y1", "y2", "y3", "y4", "y5"))
+    found = find_acyclic_seed(s, max_seeds=9)
+    assert is_acyclic(found.matrix)
+    assert found.cluster_key() == explore(s, max_seeds=9).seeds[8].cluster_key()
+    with pytest.raises(NotFoundWithinBudget):
+        find_acyclic_seed(s, max_seeds=8)
+    assert find_acyclic_seed(s, max_seeds=9, max_depth=2) == found
+    with pytest.raises(NotFoundWithinBudget):
+        find_acyclic_seed(s, max_seeds=100, max_depth=1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +360,18 @@ def test_explore_affine_budget():
     e = explore(affine_seed(), max_seeds=10, max_depth=50)
     assert len(e.seeds) == 10
     assert e.truncated
+
+
+def test_explore_stops_at_the_first_cluster_over_budget(monkeypatch):
+    # explore ends the moment it discovers cluster max_seeds + 1, so kept
+    # seeds are not all expanded
+    calls = []
+    mutated = Seed.mutated
+    monkeypatch.setattr(Seed, "mutated",
+                        lambda s, k, name=None: calls.append(k) or mutated(s, k, name))
+    e = explore(markov_seed(), max_seeds=30)
+    assert len(e.seeds) == 30 and e.truncated
+    assert len(calls) == 43
 
 
 def test_explore_frozen_expansions_stable():
