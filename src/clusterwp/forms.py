@@ -35,6 +35,22 @@ class FormFileError(ValueError):
         super().__init__(f"{filename}:{line}: {reason}")
 
 
+def _coefficient(value, table, what):
+    """A coefficient as a RationalFn over ``table``; ``what`` names it in
+    the foreign-table error."""
+    c = RationalFn._lift(value, table)
+    if c is None:
+        raise TypeError(f"cannot treat {value!r} as an exact rational")
+    if c.table != table:
+        raise ValueError(f"{what} uses a foreign table")
+    return c
+
+
+def _same_chart(a, b):
+    if a.chart != b.chart:
+        raise ValueError("chart mismatch: pull back to a common chart first")
+
+
 class ChartForm:
     """2-form in a seed's chart: slot (i, j), i < j, holds the df_i∧df_j
     coefficient as a RationalFn in the chart variables.  Zero coefficients
@@ -42,20 +58,14 @@ class ChartForm:
 
     def __init__(self, chart, coeffs):
         self.chart = chart
-        table = chart.chart()
-        self.table = table
+        self.table = chart.chart()
         clean = {}
         n = chart.matrix.n
         for slot, c in coeffs.items():
             i, j = slot
             if not (1 <= i < j <= n):
                 raise ValueError(f"bad slot {slot}: need 1 <= i < j <= {n}")
-            if isinstance(c, LaurentPoly):
-                c = RationalFn(c)
-            if not isinstance(c, RationalFn):
-                c = RationalFn(LaurentPoly.constant(table, c))
-            if c.num.table != table:
-                raise ValueError(f"slot {slot} coefficient uses a foreign table")
+            c = _coefficient(c, self.table, f"slot {slot} coefficient")
             if not c.num.is_zero:
                 clean[slot] = c
         self.coeffs = clean
@@ -65,8 +75,7 @@ class ChartForm:
                          {slot: c * factor for slot, c in self.coeffs.items()})
 
     def plus(self, other):
-        if other.chart != self.chart:
-            raise ValueError("chart mismatch")
+        _same_chart(self, other)
         merged = dict(self.coeffs)
         for slot, c in other.coeffs.items():
             merged[slot] = merged[slot] + c if slot in merged else c
@@ -127,12 +136,7 @@ class SymbolicForm:
             for nm in (g, h):
                 if nm not in gens:
                     raise ValueError(f"unknown generator {nm!r}")
-            if isinstance(coeff, LaurentPoly):
-                coeff = RationalFn(coeff)
-            if not isinstance(coeff, RationalFn):
-                coeff = RationalFn(LaurentPoly.constant(self.table, coeff))
-            if coeff.num.table != self.table:
-                raise ValueError("term coefficient uses a foreign table")
+            coeff = _coefficient(coeff, self.table, "term coefficient")
             if g != h:
                 clean.append((coeff, g, h))
         self.terms = tuple(clean)
@@ -147,12 +151,19 @@ def reduce_to_chart(form, chart):
     through its generator's expansion: d(g) = sum_i (dg/df_i) df_i."""
     if chart != form.chart:
         raise ValueError("chart mismatch: form was built over a different seed")
+    return _reduce(form.terms, form.gens, chart)
+
+
+def _reduce(terms, gens, chart):
+    """The ChartForm of the terms c·dg∧dh, where ``gens`` maps every name
+    that the terms or their coefficients use to its Laurent expansion in
+    the chart."""
     chart_table = chart.chart()
-    bindings = {nm: RationalFn(exp) for nm, exp in form.gens.items()}
+    bindings = {nm: RationalFn(exp) for nm, exp in gens.items()}
     partials = {nm: [exp.partial(v) for v in chart.names]
-                for nm, exp in form.gens.items()}
+                for nm, exp in gens.items()}
     slots = {}
-    for coeff, g, h in form.terms:
+    for coeff, g, h in terms:
         c = coeff.substitute(bindings, chart_table)
         if c.num.is_zero:
             continue
@@ -174,45 +185,29 @@ def pullback(form, target, k):
             target.names[:k - 1] or form.chart.names[k:] != target.names[k:]:
         raise ValueError(f"chart mismatch: form is not on a mutation of this "
                          f"seed at direction {k}")
-    chart_table = target.chart()
-    chart_vars = [LaurentPoly.variable(chart_table, nm) for nm in target.names]
-    partner = _exchange_partner(target.matrix, k, chart_vars, chart_table)
     partner_name = form.chart.names[k - 1]
-    sym_table = VarTable(target.names + (partner_name,))
-    rebase = {nm: RationalFn(LaurentPoly.variable(sym_table, nm))
-              for nm in form.chart.names}
-    terms = []
-    for (i, j), c in sorted(form.coeffs.items()):
-        terms.append((c.substitute(rebase, sym_table),
-                      form.chart.names[i - 1], form.chart.names[j - 1]))
-    symbolic = SymbolicForm(target, {partner_name: partner}, terms)
-    return reduce_to_chart(symbolic, target)
+    if partner_name in target.names:
+        raise ValueError(f"duplicate variable name: {partner_name!r}")
+    chart_table = target.chart()
+    gens = {nm: LaurentPoly.variable(chart_table, nm) for nm in target.names}
+    gens[partner_name] = _exchange_partner(target.matrix, k, list(gens.values()),
+                                           chart_table)
+    terms = [(c, form.chart.names[i - 1], form.chart.names[j - 1])
+             for (i, j), c in sorted(form.coeffs.items())]
+    return _reduce(terms, gens, target)
 
 
 def forms_equal(a, b):
     """Coefficient-wise equality (RationalFn cross-multiplication) of two
     forms on the same chart."""
-    if a.chart != b.chart:
-        raise ValueError("chart mismatch: pull back to a common chart first")
+    _same_chart(a, b)
     if set(a.coeffs) != set(b.coeffs):
         return False
     return all(a.coeffs[slot] == b.coeffs[slot] for slot in a.coeffs)
 
 
 def form_difference(a, b):
-    if a.chart != b.chart:
-        raise ValueError("chart mismatch: pull back to a common chart first")
-    slots = {}
-    for slot in set(a.coeffs) | set(b.coeffs):
-        x = a.coeffs.get(slot)
-        y = b.coeffs.get(slot)
-        if x is None:
-            slots[slot] = -y
-        elif y is None:
-            slots[slot] = x
-        else:
-            slots[slot] = x - y
-    return ChartForm(a.chart, slots)
+    return a.plus(b.scaled(-1))
 
 
 def check_invariance(seed, depth):
@@ -223,15 +218,14 @@ def check_invariance(seed, depth):
         raise ValueError("depth must be at least 1")
     base = wp_form(seed)
     m = seed.matrix.m
+    charts = {(): seed}     # each prefix's chart, mutated once
     report = []
     for d in range(1, depth + 1):
         for ks in itertools.product(range(1, m + 1), repeat=d):
-            charts = [seed]
-            for k in ks:
-                charts.append(charts[-1].mutated(k))
-            form = wp_form(charts[-1])
-            for k, source in zip(reversed(ks), reversed(charts[:-1])):
-                form = pullback(form, source, k)
+            charts[ks] = charts[ks[:-1]].mutated(ks[-1])
+            form = wp_form(charts[ks])
+            for t in range(d, 0, -1):
+                form = pullback(form, charts[ks[:t - 1]], ks[t - 1])
             report.append((ks, forms_equal(form, base)))
     return report
 
@@ -310,6 +304,7 @@ def parse_form_file(text, chart, filename="<input>"):
         del table_so_far
 
     table = VarTable(names)
+    zero_gen = any(exp.is_zero for exp in gens.values())
     terms = []
     for no, line in term_lines:
         parts = [p.strip() for p in line.split(";")]
@@ -322,6 +317,11 @@ def parse_form_file(text, chart, filename="<input>"):
                 raise FormFileError(filename, no, f"unknown generator {nm!r}")
         try:
             coeff = parse_expression(expr_text, table)
+            # only a non-monomial denominator or a gen equal to 0 can vanish
+            if coeff and (len(coeff.den.terms) > 1 or zero_gen):
+                low = [min(e, 0) for e in coeff.num.monomial_content()]
+                RationalFn(LaurentPoly.monomial(table, low), coeff.den).substitute(
+                    bindings, chart_table)
         except (ExprError, LaurentError) as exc:
             raise FormFileError(filename, no, str(exc)) from None
         terms.append((coeff, g, h))

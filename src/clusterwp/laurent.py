@@ -6,8 +6,8 @@ Representation choices that the rest of the package leans on:
   carries its table and cross-table arithmetic is an error, never a silent
   union.
 * Terms map dense exponent vectors (tuples of ints, negative allowed) to
-  nonzero Gaussian-rational coefficients.  Zero coefficients are pruned on
-  every operation, so emptiness <=> the zero polynomial.
+  nonzero Gaussian-rational coefficients.  The constructor prunes zero
+  coefficients, so emptiness <=> the zero polynomial.
 * ``RationalFn`` is an unreduced num/den pair.  There is deliberately *no*
   multivariate gcd: equality is decided by cross-multiplication, and the
   only simplification ever applied is moving the denominator's monomial
@@ -149,11 +149,6 @@ class LaurentPoly:
             if len(t) != width:
                 raise ValueError(
                     f"exponent vector {t} does not match table of width {width}")
-            if t in clean:
-                c = clean[t] + c
-                if not c:
-                    del clean[t]
-                    continue
             clean[t] = c
         self.table = table
         self.terms = clean
@@ -247,11 +242,7 @@ class LaurentPoly:
         out = dict(self.terms)
         for exps, c in other.terms.items():
             s = out.get(exps)
-            s = c if s is None else s + c
-            if s:
-                out[exps] = s
-            else:
-                out.pop(exps, None)
+            out[exps] = c if s is None else s + c
         return LaurentPoly(self.table, out)
 
     __radd__ = __add__
@@ -277,11 +268,7 @@ class LaurentPoly:
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 s = out.get(key)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                out[key] = c1 * c2 if s is None else s + c1 * c2
         return LaurentPoly(self.table, out)
 
     __rmul__ = __mul__
@@ -333,11 +320,7 @@ class LaurentPoly:
                 continue
             key = exps[:k] + (e - 1,) + exps[k + 1:]
             s = out.get(key)
-            s = c * e if s is None else s + c * e
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            out[key] = c * e if s is None else s + c * e
         return LaurentPoly(self.table, out)
 
     def evaluate(self, values: Mapping[str, object]) -> GaussianRational:

@@ -356,8 +356,10 @@ def find_regularizing_seed(start, v_oracle, max_depth=3, max_seeds=1000,
     """Breadth-first search of the mutation graph for a seed whose chart
     admits the regularizing rewrite for its oracle-supplied vanishing set,
     among the first max_seeds distinct clusters in breadth-first order, none
-    deeper than max_depth; raises NotFoundWithinBudget if none does."""
-    for s, _ in islice(_walk(start, max_depth), max(max_seeds, 1)):
+    deeper than max_depth; raises NotFoundWithinBudget if none does.  The
+    walk names new variables by ``namer``, which ``regularize_at`` uses too."""
+    step = Seed.mutated if namer is None else lambda s, k: s.mutated(k, namer(s, k))
+    for s, _ in islice(_walk(start, max_depth, step), max(max_seeds, 1)):
         try:
             return s, regularize_at(s, v_oracle(s), namer=namer)
         except HypothesisViolated:

@@ -12,6 +12,7 @@ import pytest
 
 from clusterwp.catalog import catalog
 from clusterwp.cli import main
+from clusterwp.forms import parse_form_file, reduce_to_chart, wp_form
 from clusterwp.seeds import emit_seed_file, is_acyclic, parse_seed_file
 
 
@@ -328,6 +329,31 @@ def test_equal_zero_division_in_form_file(capsys, tmp_path, text):
     assert err == f"error: {bad}:1: inverse of the zero rational function\n"
 
 
+@pytest.mark.parametrize("text,reason", [
+    ("gen g = x\n1/(g - x) ; x ; c1\n",
+     "2: denominator x - g vanishes under substitution"),
+    ("gen g = x - x\ng^-1 ; x ; c1\n",
+     "2: substitution sends g to zero but it appears with exponent -1"),
+], ids=["denominator", "negative-power"])
+def test_equal_zero_division_after_gen_substitution(capsys, tmp_path, text, reason):
+    a = _write(capsys, tmp_path, "wp.form", "wp", "sl2")
+    bad = tmp_path / "bad.form"
+    bad.write_text(text)
+    rc, out, err = run(capsys, "equal", "sl2", str(bad), a)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {bad}:{reason}\n"
+
+
+def test_equal_zero_numerator_after_gen_substitution(capsys, tmp_path):
+    zero = tmp_path / "zero.form"
+    zero.write_text("gen g = x\n(g - x)/x ; x ; c1\n")
+    one = tmp_path / "one.form"
+    one.write_text("1 ; x ; c1\n")
+    rc, out, err = run(capsys, "equal", "sl2", str(zero), str(one))
+    assert (rc, err) == (1, "")
+    assert out == "not equal\ndifference (first - second):\n-1 ; x ; c1\n"
+
+
 # ---------------------------------------------------------------------------
 # invariance
 
@@ -409,6 +435,19 @@ def test_regularize_search_immediate_hit_emits_seed_and_form(capsys):
     assert out.startswith("rank 3\n")
     assert "form:\n" in out
     assert out.endswith(_A3_REGULARIZED)
+
+
+@pytest.mark.parametrize("pattern,names", [
+    ("1,2", "x13 x35 x36"), ("2,3", "x25 x35 x15")])
+def test_regularize_search_names_seeds_with_the_catalog_namer(capsys, pattern, names):
+    rc, out, err = run(capsys, "regularize", "a3", "--pattern", pattern,
+                       "--search", "50")
+    assert (rc, err) == (0, "")
+    seed_text, form_text = out.split("form:\n")
+    found = parse_seed_file(seed_text)
+    assert " ".join(found.names) == names
+    form = parse_form_file(form_text, found)
+    assert reduce_to_chart(form, found) == wp_form(found)
 
 
 def test_regularize_pattern_validation(capsys):

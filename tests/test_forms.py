@@ -97,6 +97,16 @@ def test_chartform_table_mismatch():
         ChartForm(AFFINE, {(1, 2): rf(SL2, "1/x")})
 
 
+def test_coefficients_must_be_exact():
+    with pytest.raises(TypeError, match="cannot treat 0.5 as an exact rational"):
+        ChartForm(AFFINE, {(1, 2): 0.5})
+    with pytest.raises(TypeError, match="cannot treat 0.5 as an exact rational"):
+        SymbolicForm(AFFINE, {}, [(0.5, "x0", "x1")])
+    with pytest.raises(ValueError, match="term coefficient uses a foreign table"):
+        SymbolicForm(AFFINE, {}, [(rf(SL2, "x"), "x0", "x1")])
+    assert ChartForm(AFFINE, {(1, 2): 3}).coeffs[(1, 2)] == 3
+
+
 def test_forms_equal_representation_insensitive():
     a = ChartForm(AFFINE, {(1, 2): rf(AFFINE, "2/(x0*x1)")})
     b = ChartForm(AFFINE, {(1, 2): rf(AFFINE, "(2*x0)/(x0^2*x1)")})
@@ -110,8 +120,9 @@ def test_forms_equal_false_on_doubling():
 
 
 def test_forms_equal_chart_mismatch():
-    with pytest.raises(ValueError):
-        forms_equal(wp_form(SL2), wp_form(A3))
+    for combine in (forms_equal, form_difference, ChartForm.plus):
+        with pytest.raises(ValueError, match="pull back to a common chart first"):
+            combine(wp_form(SL2), wp_form(A3))
 
 
 def test_form_difference_frozen():
@@ -260,6 +271,58 @@ def test_pullback_zero_form():
 def test_pullback_chart_mismatch():
     with pytest.raises(ValueError):
         pullback(wp_form(AFFINE.mutated(1)), AFFINE, 2)
+
+
+def test_pullback_partner_name_already_in_target():
+    renamed = AFFINE.mutated(1, "x0")     # the partner keeps the old name
+    with pytest.raises(ValueError, match="duplicate variable name"):
+        pullback(wp_form(renamed), AFFINE, 1)
+
+
+def test_pullback_substitutes_each_coefficient_once(monkeypatch):
+    calls = []
+    substitute = RationalFn.substitute
+
+    def counted(self, bindings, into):
+        calls.append(self)
+        return substitute(self, bindings, into)
+
+    monkeypatch.setattr(RationalFn, "substitute", counted)
+    form = wp_form(MARKOV.mutated(2))
+    assert forms_equal(pullback(form, MARKOV, 2), wp_form(MARKOV))
+    assert len(calls) == len(form.coeffs) == 3
+
+
+def test_check_invariance_mutates_each_prefix_once(monkeypatch):
+    calls = []
+    mutated = Seed.mutated
+
+    def counted(self, k, new_name=None):
+        calls.append(k)
+        return mutated(self, k, new_name)
+
+    monkeypatch.setattr(Seed, "mutated", counted)
+    assert len(check_invariance(A3, 3)) == 3 + 9 + 27
+    assert len(calls) == 3 + 9 + 27
+
+
+# Seeds whose wp_form does not glue across every mutation; these pin the
+# failing verdicts of the chained pullbacks.
+C3 = Seed.initial(
+    ExchangeMatrix(3, 3, ((0, 2, 0), (-1, 0, 1), (0, -1, 0))), ("a", "b", "c"))
+M2 = Seed.initial(ExchangeMatrix(2, 3, ((0, 2, 1), (-1, 0, 1))), ("a", "b", "c"))
+
+
+def test_check_invariance_failing_verdicts():
+    report = dict(check_invariance(C3, 3))
+    assert len(report) == 39
+    assert sum(not ok for ok in report.values()) == 20
+    for seq in [(2,), (1, 2), (2, 1), (2, 3), (3, 2)]:
+        assert report[seq] is False
+    assert report[(2, 2)] is True     # mu_2 twice is the identity
+    report = dict(check_invariance(M2, 3))
+    assert (len(report), sum(not ok for ok in report.values())) == (14, 8)
+    assert (report[(2,)], report[(2, 2)]) == (False, True)
 
 
 def test_check_invariance_sl2():

@@ -1,10 +1,10 @@
 """Golden transcripts of the exchange-graph walkers.
 
 ``tests/golden/*.out`` hold the exact stdout of the walker commands
-(``explore``, ``acyclic --search``, ``regularize --search``) and of
-``scripts/tour.py``, which calls every walker consumer.  A refactor of the
-walk must reproduce them byte for byte; they are never regenerated from the
-code under test.  ``@name`` in an argument list names a seed file in the
+(``explore``, ``acyclic --search``, ``regularize --search``), of a failing
+``invariance`` run and of ``scripts/tour.py``, which calls every walker
+consumer.  A refactor of the walk or of the form reduction must reproduce
+them byte for byte; they are never regenerated from the code under test.  ``@name`` in an argument list names a seed file in the
 golden directory.
 """
 
@@ -39,6 +39,7 @@ CASES = [
      ["regularize", "markov", "--pattern", "1,2,3", "--search", "50"]),
     ("regularize-a3-file-12-search50", 0,
      ["regularize", "@a3.seed", "--pattern", "1,2", "--search", "50"]),
+    ("invariance-c3-depth3", 1, ["invariance", "@c3.seed", "--depth", "3"]),
 ]
 
 
