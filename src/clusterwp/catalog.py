@@ -136,18 +136,12 @@ def affine_window_exploration(seed, lo, hi):
     if not (lo <= indices[0] and indices[1] <= hi):
         raise ValueError("initial cluster lies outside the requested window")
     seeds = [seed]
-    current = seed
-    while max(_affine_index(n) for n in current.names) < hi:
-        idx = [_affine_index(n) for n in current.names]
-        k = 1 + idx.index(min(idx))
-        current = current.mutated(k, affine_namer(current, k))
-        seeds.append(current)
-    current = seed
-    while min(_affine_index(n) for n in current.names) > lo:
-        idx = [_affine_index(n) for n in current.names]
-        k = 1 + idx.index(max(idx))
-        current = current.mutated(k, affine_namer(current, k))
-        seeds.append(current)
+    for pick, end in ((min, hi), (max, lo)):   # lowest index going up, highest going down
+        current = seed
+        while end not in (idx := [_affine_index(n) for n in current.names]):
+            k = 1 + idx.index(pick(idx))
+            current = current.mutated(k, affine_namer(current, k))
+            seeds.append(current)
     return Exploration(seeds, truncated=True)
 
 

@@ -47,7 +47,6 @@ from .regularity import (
     vanishing_pattern,
 )
 from .seeds import (
-    MutationArithmeticError,
     NotAcyclic,
     NotFoundWithinBudget,
     SeedFileError,
@@ -146,12 +145,7 @@ def _cmd_mutate(args):
         if not (1 <= k <= current.matrix.m):
             raise _UsageError(
                 f"direction {k} outside 1..{current.matrix.m}")
-        name = namer(current, k) if namer is not None else None
-        try:
-            current = current.mutated(k, name)
-        except MutationArithmeticError as exc:
-            print(f"mutation failed: {exc}")
-            return 1
+        current = current.mutated(k, namer(current, k) if namer is not None else None)
     sys.stdout.write(emit_seed_file(current))
     return 0
 
@@ -270,26 +264,27 @@ def _cmd_regularize(args):
     seed, entry = _resolve_seed(args.seed)
     namer = entry.namer if entry is not None else None
     pattern, point = _pattern_from_args(args, seed)
-    if args.search is None:
-        try:
-            form = regularize_at(seed, pattern, namer=namer)
-        except HypothesisViolated as exc:
-            a, b = exc.pair
-            print(f"hypothesis violated: vanishing variables {a} and {b} "
-                  f"are exchange-adjacent (B_{a}{b} = {seed.matrix.b(a, b)})")
-            return 1
-        sys.stdout.write(emit_form_file(form))
-        return 0
     oracle = (point_vanishing_oracle(point) if point is not None
               else constant_vanishing_oracle(pattern.indices))
     try:
-        found, form = find_regularizing_seed(
-            seed, oracle, max_seeds=args.search, namer=namer)
+        if args.search is None:
+            form = regularize_at(seed, pattern, namer=namer)
+        else:
+            found, form = find_regularizing_seed(
+                seed, oracle, max_seeds=args.search, namer=namer)
+    except HypothesisViolated as exc:
+        a, b = exc.pair
+        print(f"hypothesis violated: vanishing variables {a} and {b} "
+              f"are exchange-adjacent (B_{a}{b} = {seed.matrix.b(a, b)})")
+        return 1
     except NotFoundWithinBudget as exc:
         print(f"no regularizing seed found: {exc}")
         return 1
-    sys.stdout.write(emit_seed_file(found))
-    print("form:")
+    except ValueError as exc:   # a rewrite the chart does not admit
+        raise _UsageError(str(exc)) from None
+    if args.search is not None:
+        sys.stdout.write(emit_seed_file(found))
+        print("form:")
     sys.stdout.write(emit_form_file(form))
     return 0
 
@@ -460,6 +455,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for budget in ("max_seeds", "max_depth", "search"):
+            if getattr(args, budget, None) is not None and getattr(args, budget) < 0:
+                raise _UsageError(f"--{budget.replace('_', '-')} must not be negative")
         return args.func(args)
     except (SeedFileError, FormFileError, PointFileError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

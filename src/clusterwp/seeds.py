@@ -1,17 +1,21 @@
 """Seeds, matrix mutation, acyclic presentations, and chart exploration.
 
-A seed is an ``m x n`` integer exchange matrix (rows indexed by the ``m``
-mutable variables, columns by all ``n``) together with labelled cluster
-variables.  Every variable carries its expansion as a Laurent polynomial in
-the variables of the *initial* chart, so mutation is exact symbolic
-arithmetic: the exchange binomial is divided by the replaced expansion and
-the quotient must again be Laurent.
+A seed is a chart: an ``m x n`` integer exchange matrix (rows indexed by the
+``m`` mutable variables, columns by all ``n``) together with labelled
+cluster variables.  Each seed also carries integer g-vectors of its
+variables and c-vectors of its mutable slots, relative to principal
+coefficients at its root, the ``Seed.initial`` it was mutated from
+(Fomin-Zelevinsky, *Cluster algebras IV*), so mutation is integer
+arithmetic only and a cluster is identified by its g-vectors.  Laurent
+expansions in an initial chart live in an ``Exploration``, which computes
+each distinct variable's expansion once, by one exact division from a seed
+one mutation away.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -162,55 +166,57 @@ def _exchange_partner(matrix, k, factors, table):
 
 @dataclass(frozen=True)
 class Seed:
-    """Exchange matrix plus labelled variables with initial-chart expansions.
-
-    ``table`` is the variable table of the initial chart; ``names`` are the
-    current labels (they drift under mutation while the table does not).
-    """
+    """Exchange matrix plus labelled variables, with the g-vectors of all
+    ``n`` variables (frozen ones keep their unit vectors) and the c-vectors
+    of the ``m`` mutable slots, both relative to principal coefficients at
+    the root seed where they are the identity."""
 
     matrix: ExchangeMatrix
     names: tuple
-    table: VarTable
-    expansions: tuple
+    gvectors: tuple
+    cvectors: tuple
 
     @classmethod
     def initial(cls, matrix, names):
         names = tuple(names)
         if len(names) != matrix.n:
             raise ValueError(f"expected {matrix.n} names, got {len(names)}")
-        table = VarTable(names)
-        expansions = tuple(LaurentPoly.variable(table, nm) for nm in names)
-        return cls(matrix, names, table, expansions)
+        m, n = matrix.m, matrix.n
+        unit = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return cls(matrix, names, unit, tuple(row[:m] for row in unit[:m]))
 
     def chart(self):
         """Variable table of this seed's own chart."""
         return VarTable(self.names)
 
+    def _partner_gvector(self, k):
+        """g-vector of the variable that replaces slot k under mutation:
+        -g_k + sum_j [-e B_kj]_+ g_j over mutable j, e the sign of c_k."""
+        sign = 1 if max(self.cvectors[k - 1]) > 0 else -1
+        g = [-x for x in self.gvectors[k - 1]]
+        for b, gj in zip(self.matrix.rows[k - 1], self.gvectors[:self.matrix.m]):
+            if -sign * b > 0:
+                g = [x - sign * b * y for x, y in zip(g, gj)]
+        return tuple(g)
+
     def mutated(self, k, new_name=None):
         """Seed mutation in direction k; the replaced variable is renamed by
-        prime-toggling unless an explicit name is supplied."""
-        matrix = mutate_matrix(self.matrix, k)     # validates the direction
-        try:
-            new_exp = _exchange_partner(self.matrix, k, self.expansions, self.table)
-        except NotLaurent as exc:    # pragma: no cover - would break Laurentness
-            raise MutationArithmeticError(
-                f"mutation of {self.names[k - 1]} in direction {k} "
-                f"is not Laurent in the initial chart"
-            ) from exc
+        prime-toggling unless an explicit name is supplied.  The c-vectors
+        mutate as m extra matrix columns."""
+        m, n = self.matrix.m, self.matrix.n
+        extended = mutate_matrix(ExchangeMatrix(m, n + m, tuple(
+            row + c for row, c in zip(self.matrix.rows, self.cvectors))), k)
         names = list(self.names)
         names[k - 1] = new_name if new_name is not None else prime_toggle(names[k - 1])
-        expansions = list(self.expansions)
-        expansions[k - 1] = new_exp
-        return Seed(matrix, tuple(names), self.table, tuple(expansions))
-
-    def renamed(self, k, name):
-        names = list(self.names)
-        names[k - 1] = name
-        return replace(self, names=tuple(names))
+        gvectors = list(self.gvectors)
+        gvectors[k - 1] = self._partner_gvector(k)
+        return Seed(ExchangeMatrix(m, n, tuple(row[:n] for row in extended.rows)),
+                    tuple(names), tuple(gvectors),
+                    tuple(row[n:] for row in extended.rows))
 
     def cluster_key(self):
-        """Order-free identity of the cluster: sorted expansion keys."""
-        return tuple(sorted(e.canonical_key() for e in self.expansions))
+        """Order-free identity of the cluster: its sorted g-vectors."""
+        return tuple(sorted(self.gvectors))
 
 
 def find_directed_cycle(matrix):
@@ -331,44 +337,54 @@ class ExchangeRelation:
     partner: str
     pos: tuple
     neg: tuple
-    partner_expansion: LaurentPoly
 
 
 class Exploration:
     """A connected family of seeds with globally consistent variable names.
 
-    ``variables`` maps each distinct variable name to its initial-chart
-    expansion, in order of first discovery; ``truncated`` records whether the
-    search stopped before exhausting the mutation graph."""
+    ``variables`` maps each distinct variable name, told apart by g-vector,
+    to its expansion in the first seed's chart, in order of first discovery.
+    A new variable must sit in a slot k of a seed that is mu_k of an earlier
+    seed; its expansion is the exchange partner there, one exact division.
+    ``truncated`` records whether the search stopped before exhausting the
+    mutation graph."""
 
     def __init__(self, seeds, truncated):
         self.seeds = tuple(seeds)
         self.truncated = truncated
-        variables = {}
-        by_key = {}
+        root = self.seeds[0]
+        table = root.chart()
+        names = dict(zip(root.gvectors, root.names))
+        variables = {nm: LaurentPoly.variable(table, nm) for nm in root.names}
+        earlier = {}    # (k, g-vectors off slot k) -> a seed holding them
         for s in self.seeds:
-            for name, exp in zip(s.names, s.expansions):
-                key = exp.canonical_key()
-                if key in by_key:
-                    if by_key[key] != name:
+            for k, (g, name) in enumerate(zip(s.gvectors, s.names), 1):
+                if g in names:
+                    if names[g] != name:
                         raise ValueError(
-                            f"variable named both {by_key[key]!r} and {name!r}")
-                elif name in variables:
+                            f"variable named both {names[g]!r} and {name!r}")
+                    continue
+                if name in variables:
                     raise ValueError(f"name {name!r} reused for a new variable")
-                else:
-                    by_key[key] = name
-                    variables[name] = exp
+                parent = earlier.get((k, s.gvectors[:k - 1] + s.gvectors[k:]))
+                if parent is None:
+                    raise ValueError(f"new variable {name!r} is not one "
+                                     f"mutation away from an earlier seed")
+                factors = [variables[names[h]] for h in parent.gvectors]
+                try:
+                    variables[name] = _exchange_partner(parent.matrix, k, factors, table)
+                except NotLaurent as exc:   # pragma: no cover - Laurent phenomenon
+                    raise MutationArithmeticError(f"{name} is not Laurent") from exc
+                names[g] = name
+            for k in range(1, s.matrix.m + 1):
+                earlier.setdefault((k, s.gvectors[:k - 1] + s.gvectors[k:]), s)
         self.variables = variables
-        self._by_key = by_key
+        self._names = names
         self._relations = None
 
     @property
     def n_variables(self):
         return len(self.variables)
-
-    def name_of(self, expansion):
-        """Registered name of an expansion, or None."""
-        return self._by_key.get(expansion.canonical_key())
 
     def relations(self):
         """Every (seed, direction) exchange relation, seeds in discovery
@@ -378,12 +394,11 @@ class Exploration:
             for idx, s in enumerate(self.seeds):
                 for k in range(1, s.matrix.m + 1):
                     row = s.matrix.rows[k - 1]
-                    partner_exp = _exchange_partner(s.matrix, k, s.expansions, s.table)
                     pos = tuple((s.names[j], b) for j, b in enumerate(row) if b > 0)
                     neg = tuple((s.names[j], -b) for j, b in enumerate(row) if b < 0)
                     rels.append(ExchangeRelation(
-                        idx, k, s.names[k - 1], self.name_of(partner_exp),
-                        pos, neg, partner_exp))
+                        idx, k, s.names[k - 1],
+                        self._names.get(s._partner_gvector(k)), pos, neg))
             self._relations = rels
         return self._relations
 
@@ -392,32 +407,24 @@ def explore(seed, max_seeds=1000, max_depth=16, namer=None):
     """Breadth-first exploration of the mutation graph from a seed.
 
     Keeps the first max_seeds distinct clusters in breadth-first order,
-    none deeper than max_depth.  Clusters are deduplicated by their
-    expansion multisets, so the walk terminates on finite exchange graphs.
+    none deeper than max_depth.  Clusters and variables are identified by
+    g-vectors, so the walk terminates on finite exchange graphs.
     Newly met variables are named by ``namer(seed, k)`` (default:
     prime-toggle of the replaced name), with primes appended until the name
     is fresh; variables met again keep their first name.  ``truncated`` is
     set when the seed budget bites or a node at the depth cap is left
     unexpanded.
     """
-    registry = {}
-    used = set()
-    for name, exp in zip(seed.names, seed.expansions):
-        registry[exp.canonical_key()] = name
-        used.add(name)
+    names = dict(zip(seed.gvectors, seed.names))
 
     def step(s, k):
-        t = s.mutated(k)
-        key = t.expansions[k - 1].canonical_key()
-        if key in registry:
-            name = registry[key]
-        else:
+        g = s._partner_gvector(k)
+        if g not in names:
             name = namer(s, k) if namer is not None else prime_toggle(s.names[k - 1])
-            while name in used:
+            while name in names.values():
                 name += "'"
-            registry[key] = name
-            used.add(name)
-        return t if name == t.names[k - 1] else t.renamed(k, name)
+            names[g] = name
+        return s.mutated(k, names[g])
 
     walk = _walk(seed, max_depth, step)
     kept = list(islice(walk, max(max_seeds, 1)))

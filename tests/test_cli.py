@@ -8,7 +8,14 @@ Frozen outputs below were cross-checked against the library-level tests
 CLI tests mostly assert plumbing, exit codes, and stable formatting.
 """
 
+import contextlib
+import io
+import os
+import tempfile
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clusterwp.catalog import catalog
 from clusterwp.cli import main
@@ -133,11 +140,17 @@ def test_explore_budget_truncates(capsys):
     (["--max-seeds", "13"], 13, "yes"),
     (["--max-seeds", "14"], 14, "no"),
     (["--max-depth", "0"], 1, "yes"),
+    (["--max-seeds", "-1"], None, None),
+    (["--max-depth", "-1"], None, None),
 ])
 def test_explore_budget_edges(capsys, flags, clusters, truncated):
     # the budget counts the first N distinct clusters in breadth-first
-    # order, the start included; a3 has exactly 14
-    rc, out, _ = run(capsys, "explore", "a3", *flags)
+    # order, the start included; a3 has exactly 14; a negative budget is
+    # a usage error
+    rc, out, err = run(capsys, "explore", "a3", *flags)
+    if clusters is None:
+        assert (rc, out, err) == (2, "", f"error: {flags[0]} must not be negative\n")
+        return
     lines = out.splitlines()
     assert rc == 0
     assert lines[0] == f"clusters {clusters}"
@@ -457,6 +470,24 @@ def test_regularize_pattern_validation(capsys):
     assert rc == 2 and "comma-separated" in err
 
 
+def test_regularize_search_point_must_assign_every_chart_variable(capsys, tmp_path):
+    point = tmp_path / "p.point"
+    point.write_text("x13 = 0\nx14 = 0\nx15 = 1\n")
+    rc, out, err = run(capsys, "regularize", "a3", "--point", str(point),
+                       "--search", "50")
+    assert (rc, out, err) == (2, "", "error: chart variable x24 is not assigned\n")
+
+
+@pytest.mark.parametrize("search", [[], ["--search", "5"]])
+def test_regularize_rejects_non_skew_symmetric_vanishing_rows(capsys, tmp_path, search):
+    seed = tmp_path / "b2.seed"
+    seed.write_text("rank 2\nmutable 2\nnames a b\nrow 0 1\nrow -2 0\n")
+    rc, out, err = run(capsys, "regularize", str(seed), "--pattern", "1", *search)
+    assert (rc, out) == (2, "")
+    assert err == ("error: rows meeting the vanishing set must be skew-symmetric "
+                   "with their columns; B_12 = 1 but B_21 = -2\n")
+
+
 def test_regularize_requires_pattern_or_point():
     with pytest.raises(SystemExit) as exc:
         main(["regularize", "a3"])
@@ -585,6 +616,16 @@ def test_deep_file_seed_needs_budget(capsys, tmp_path):
     assert out.splitlines()[-1] == "verdict deep-relative"
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["acyclic", "markov", "--search", "-1"], "--search"),
+    (["regularize", "a3", "--pattern", "1,3", "--search", "-2"], "--search"),
+    (["deep", "markov", "--point", "p.point", "--max-seeds", "-1"], "--max-seeds"),
+])
+def test_negative_budgets_are_usage_errors(capsys, argv, flag):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: {flag} must not be negative\n")
+
+
 def test_deep_inconsistent_point_rejected(capsys, tmp_path):
     point = tmp_path / "bad.point"
     point.write_text("x0 = i\nx1 = 0\nx2 = 5\n")
@@ -623,3 +664,58 @@ def test_point_file_diagnostics_carry_location(capsys, tmp_path):
     rc, _, err = run(capsys, "tangent", "sl2", "--point", str(path))
     assert rc == 2
     assert f"{path}:1:" in err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under fuzzing
+
+FUZZ_COMMANDS = (
+    ["acyclic", "SEED", "--search", "5"],
+    ["wp", "SEED"],
+    ["grade", "SEED"],
+    ["present", "SEED"],
+    ["invariance", "SEED", "--depth", "1"],
+    ["explore", "SEED", "--max-seeds", "10"],
+    ["regularize", "SEED", "--pattern", "1"],
+    ["regularize", "SEED", "--pattern", "1", "--search", "3"],
+)
+
+
+@st.composite
+def small_seed_texts(draw):
+    """Seed files with m <= 3, n <= 4 and entries in -2..2.  Half are
+    B = S*D on the mutable block (S skew-symmetric, D positive diagonal);
+    the rest are mostly not skew-symmetrizable and must exit 2."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, min(n, 3)))
+    rows = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        d = [draw(st.integers(1, 2)) for _ in range(m)]
+        for i in range(m):
+            rows[i][i] = 0
+            for j in range(i + 1, m):
+                s = draw(st.integers(-1, 1))
+                rows[i][j], rows[j][i] = s * d[j], -s * d[i]
+    lines = [f"rank {n}", f"mutable {m}",
+             "names " + " ".join(f"v{j}" for j in range(n))]
+    lines += ["row " + " ".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_seed_texts())
+@example("rank 2\nmutable 2\nnames v0 v1\nrow 0 1\nrow -2 0\n")
+def test_cli_exit_code_contract_fuzz(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.seed")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        for command in FUZZ_COMMANDS:
+            argv = [path if a == "SEED" else a for a in command]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = main(argv)
+            assert rc in (0, 1, 2), (argv, text)
+            if rc == 2:
+                assert len(err.getvalue().splitlines()) == 1, (argv, text)

@@ -1,7 +1,9 @@
 """Golden transcripts of the exchange-graph walkers.
 
 ``tests/golden/*.out`` hold the exact stdout of the walker commands
-(``explore``, ``acyclic --search``, ``regularize --search``), of a failing
+(``explore``, ``acyclic --search``, ``regularize --search``; ``explore`` on
+a G2 seed with two frozen columns pins the g-vector keys of a
+skew-symmetrizable seed with coefficients), of a failing
 ``invariance`` run and of ``scripts/tour.py``, which calls every walker
 consumer.  A refactor of the walk or of the form reduction must reproduce
 them byte for byte; they are never regenerated from the code under test.  ``@name`` in an argument list names a seed file in the
@@ -23,6 +25,8 @@ CASES = [
     ("explore-a3", 0, ["explore", "a3"]),
     ("explore-affine-a11-depth6", 0, ["explore", "affine-a11", "--max-depth", "6"]),
     ("explore-markov-30", 0, ["explore", "markov", "--max-seeds", "30"]),
+    ("explore-d4", 0, ["explore", "@d4.seed"]),
+    ("explore-g2-frozen", 0, ["explore", "@g2-frozen.seed"]),
     ("acyclic-sl2-search50", 0, ["acyclic", "sl2", "--search", "50"]),
     ("acyclic-a3-search50", 0, ["acyclic", "a3", "--search", "50"]),
     ("acyclic-affine-a11-search50", 0, ["acyclic", "affine-a11", "--search", "50"]),

@@ -1,11 +1,15 @@
 """Seeds: matrix mutation, symmetrizers, acyclicity, presentations, explore."""
 
 import itertools
+from collections import deque
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterwp import seeds as seeds_module
+from clusterwp.catalog import CATALOG_KEYS, catalog
 from clusterwp.laurent import LaurentPoly, VarTable
 from clusterwp.seeds import (
     ExchangeMatrix,
@@ -26,6 +30,7 @@ from clusterwp.seeds import (
     parse_seed_file,
     prime_toggle,
 )
+from clusterwp.seeds import _exchange_partner, _walk
 
 SL2 = ExchangeMatrix(1, 3, ((0, 1, 1),))
 A3 = ExchangeMatrix(3, 3, ((0, 1, 0), (-1, 0, 1), (0, -1, 0)))
@@ -134,14 +139,15 @@ def test_symmetrizer_preserved_by_mutation():
 
 def test_sl2_mutation_expansion_frozen():
     s = sl2_seed().mutated(1)
-    t = s.table
+    e = Exploration([sl2_seed(), s], truncated=False)
+    t = sl2_seed().chart()
     x = LaurentPoly.variable(t, "x")
     c1 = LaurentPoly.variable(t, "c1")
     c2 = LaurentPoly.variable(t, "c2")
-    assert s.expansions[0] == x ** -1 * c1 * c2 + x ** -1
+    assert e.variables["x'"] == x ** -1 * c1 * c2 + x ** -1
     assert s.names == ("x'", "c1", "c2")
     # frozen slots untouched
-    assert s.expansions[1] == c1 and s.expansions[2] == c2
+    assert e.variables["c1"] == c1 and e.variables["c2"] == c2
 
 
 def test_seed_involution_with_names():
@@ -162,12 +168,14 @@ def test_seed_involution_deeper():
 
 def test_affine_expansion_frozen():
     # x0 -> (x1^2+1)/x0, then x1 -> (x2^2+1)/x1 stays Laurent in (x0, x1)
-    s = affine_seed().mutated(1).mutated(2)
-    t = s.table
+    s1 = affine_seed().mutated(1)
+    s = s1.mutated(2)
+    e = Exploration([affine_seed(), s1, s], truncated=True)
+    t = affine_seed().chart()
     x0 = LaurentPoly.variable(t, "x0")
     x1 = LaurentPoly.variable(t, "x1")
     x3 = (x0 ** -2 * x1 ** 3 + 2 * x0 ** -2 * x1 + x0 ** -2 * x1 ** -1 + x1 ** -1)
-    assert s.expansions[1] == x3
+    assert e.variables[s.names[1]] == x3
 
 
 def test_prime_toggle():
@@ -376,9 +384,9 @@ def test_explore_stops_at_the_first_cluster_over_budget(monkeypatch):
 
 def test_explore_frozen_expansions_stable():
     e = explore(sl2_seed(), max_seeds=10, max_depth=4)
-    c1 = LaurentPoly.variable(e.seeds[0].table, "c1")
+    c1 = LaurentPoly.variable(e.seeds[0].chart(), "c1")
     for s in e.seeds:
-        assert s.expansions[1] == c1
+        assert e.variables[s.names[1]] == c1
 
 
 def test_exploration_relations_sl2():
@@ -395,10 +403,169 @@ def test_exploration_name_consistency():
     # every expansion has exactly one name across the whole exploration
     seen = {}
     for s in e.seeds:
-        for name, exp in zip(s.names, s.expansions):
-            key = exp.canonical_key()
+        for name in s.names:
+            key = e.variables[name].canonical_key()
             assert seen.setdefault(key, name) == name
     assert len(seen) == 9
+
+
+def test_exploration_rejects_a_seed_two_mutations_away():
+    s = a3_seed()
+    with pytest.raises(ValueError, match="not one mutation away"):
+        Exploration([s, s.mutated(1).mutated(2)], truncated=True)
+
+
+def test_exploration_rejects_inconsistent_names():
+    s = a3_seed()
+    with pytest.raises(ValueError, match="named both"):
+        Exploration([s, s.mutated(1, "y"), s.mutated(1, "y").mutated(1, "z")],
+                    truncated=True)
+    with pytest.raises(ValueError, match="reused"):
+        Exploration([s, s.mutated(1, "x14")], truncated=True)
+
+
+def test_exchange_divisions_once_per_variable(monkeypatch):
+    calls = []
+    partner = seeds_module._exchange_partner
+    monkeypatch.setattr(seeds_module, "_exchange_partner",
+                        lambda *args: calls.append(args[1]) or partner(*args))
+    e = explore(a3_seed())
+    assert len(calls) == 6          # once per non-initial variable
+    e.relations()
+    assert len(calls) == 6
+
+
+def test_mutated_does_no_laurent_arithmetic(monkeypatch):
+    starts = [catalog(key).seed for key in CATALOG_KEYS]
+
+    def forbidden(*args):
+        raise AssertionError("Seed.mutated did Laurent arithmetic")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", forbidden)
+    monkeypatch.setattr(LaurentPoly, "divide_exact", forbidden)
+    for seed in starts:
+        for length in (1, 2, 3):
+            for ks in itertools.product(range(1, seed.matrix.m + 1), repeat=length):
+                s = seed
+                for k in ks:
+                    s = s.mutated(k)
+
+
+# ---------------------------------------------------------------------------
+# g-vector keys against the expansion-keyed walk
+# ---------------------------------------------------------------------------
+
+def expansion_walk(seed, max_depth):
+    """Reference walk: every cluster carries its variables' expansions in
+    the start chart and is keyed by their sorted canonical keys, as before
+    clusters were keyed by g-vectors.  Yields (names, rows, depth) in the
+    breadth-first discovery order of ``seeds._walk``."""
+    table = seed.chart()
+    start = tuple(LaurentPoly.variable(table, nm) for nm in seed.names)
+
+    def key(expansions):
+        return tuple(sorted(e.canonical_key() for e in expansions))
+
+    seen = {key(start)}
+    queue = deque([(seed.matrix, seed.names, start, 0)])
+    yield seed.names, seed.matrix.rows, 0
+    while queue:
+        matrix, names, expansions, depth = queue.popleft()
+        if depth == max_depth:
+            continue
+        for k in range(1, matrix.m + 1):
+            new = list(expansions)
+            new[k - 1] = _exchange_partner(matrix, k, expansions, table)
+            if key(new) in seen:
+                continue
+            seen.add(key(new))
+            t_names = names[:k - 1] + (prime_toggle(names[k - 1]),) + names[k:]
+            t_matrix = mutate_matrix(matrix, k)
+            queue.append((t_matrix, t_names, tuple(new), depth + 1))
+            yield t_names, t_matrix.rows, depth + 1
+
+
+def assert_walks_agree(seed, max_depth=16, limit=None):
+    by_g = [(s.names, s.matrix.rows, depth)
+            for s, depth in islice(_walk(seed, max_depth), limit)]
+    assert by_g == list(islice(expansion_walk(seed, max_depth), limit))
+
+
+def linear_seed(m):
+    """Linearly oriented A_m quiver."""
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m - 1):
+        rows[i][i + 1], rows[i + 1][i] = 1, -1
+    return Seed.initial(ExchangeMatrix(m, m, tuple(tuple(row) for row in rows)),
+                        [f"y{i}" for i in range(1, m + 1)])
+
+
+@pytest.mark.parametrize("key,max_depth,limit", [
+    ("sl2", 16, None), ("a3", 16, None), ("markov", 16, 121), ("affine-a11", 8, None),
+])
+def test_g_vector_walk_matches_expansion_walk_on_catalog(key, max_depth, limit):
+    assert_walks_agree(catalog(key).seed, max_depth, limit)
+
+
+D4 = ExchangeMatrix(4, 4, ((0, 1, 1, 1), (-1, 0, 0, 0), (-1, 0, 0, 0), (-1, 0, 0, 0)))
+
+
+@pytest.mark.parametrize("seed,clusters", [
+    (linear_seed(4), 42),
+    (linear_seed(5), 132),
+    (Seed.initial(D4, ("a", "b", "c", "d")), 50),
+    (Seed.initial(ExchangeMatrix(2, 3, ((0, 1, 1), (-2, 0, -1))), ("a", "b", "f")), 6),
+    (Seed.initial(ExchangeMatrix(2, 4, ((0, 1, 2, -1), (-3, 0, 1, 1))),
+                  ("a", "b", "f", "g")), 8),
+    (Seed.initial(ExchangeMatrix(3, 5, ((0, 1, 0, 1, 0), (-1, 0, 1, -1, 2),
+                                        (0, -2, 0, 1, 1))),
+                  ("a", "b", "c", "f", "g")), 20),
+], ids=["A4", "A5", "D4", "B2-frozen", "G2-frozen", "B3-frozen"])
+def test_g_vector_walk_matches_expansion_walk_finite_types(seed, clusters):
+    assert len(list(_walk(seed, 16))) == clusters
+    assert_walks_agree(seed)
+
+
+@pytest.mark.parametrize("rows", [
+    ((0, 1), (-2, 0)), ((0, 1), (-3, 0)), ((0, 1, 0), (-1, 0, 1), (0, -2, 0)),
+    A3.rows, MARKOV.rows,
+], ids=["B2", "G2", "B3", "A3", "markov"])
+def test_g_vectors_are_degrees_of_principal_expansions(rows):
+    # with principal coefficients y, the y-free part of a cluster variable's
+    # expansion is the single monomial x^g (Fomin-Zelevinsky IV, Cor. 6.3)
+    m = len(rows)
+    principal = ExchangeMatrix(m, 2 * m, tuple(
+        row + tuple(int(i == j) for j in range(m)) for i, row in enumerate(rows)))
+    seed = Seed.initial(principal, [f"x{i}" for i in range(m)] + [f"y{i}" for i in range(m)])
+    e = explore(seed, max_depth=3)
+    for s in e.seeds:
+        for name, g in zip(s.names[:m], s.gvectors):
+            terms = e.variables[name].terms
+            assert {exps: c for exps, c in terms.items() if not any(exps[m:])} == {g: 1}
+
+
+@st.composite
+def skew_symmetrizable_seeds(draw):
+    """B = S D with S skew-symmetric and D a positive diagonal, plus up to
+    two frozen columns."""
+    m = draw(st.integers(1, 3))
+    frozen = draw(st.integers(0, 2))
+    d = [draw(st.integers(1, 2)) for _ in range(m)]
+    rows = [[0] * (m + frozen) for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            s = draw(st.integers(-1, 1))
+            rows[i][j], rows[j][i] = s * d[j], -s * d[i]
+        for j in range(m, m + frozen):
+            rows[i][j] = draw(st.integers(-2, 2))
+    matrix = ExchangeMatrix(m, m + frozen, tuple(tuple(row) for row in rows))
+    return Seed.initial(matrix, [f"v{i}" for i in range(m + frozen)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_symmetrizable_seeds())
+def test_g_vector_walk_matches_expansion_walk_random(seed):
+    assert_walks_agree(seed, max_depth=3, limit=30)
 
 
 # ---------------------------------------------------------------------------
