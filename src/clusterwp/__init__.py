@@ -5,6 +5,8 @@ their chart reductions, local regularization at vanishing loci, and exact
 tangent-space dimensions — all over Q(i), with no floating point.
 """
 
+import types as _types
+
 from clusterwp.catalog import CATALOG_KEYS, CatalogEntry, catalog
 from clusterwp.exact import ExactMatrix, GaussianRational, format_gaussian, parse_gaussian, rank
 from clusterwp.exprs import ExprError, parse_expression
@@ -70,74 +72,10 @@ from clusterwp.seeds import (
     is_acyclic,
     mutate_matrix,
     parse_seed_file,
+    prime_namer,
     prime_toggle,
 )
 
-__all__ = [
-    "AlgebraPoint",
-    "CATALOG_KEYS",
-    "CatalogEntry",
-    "ChartForm",
-    "DeepWitnessReport",
-    "DenominatorZero",
-    "ExactMatrix",
-    "ExchangeMatrix",
-    "ExchangeRelation",
-    "Exploration",
-    "ExprError",
-    "FormFileError",
-    "GaussianRational",
-    "HypothesisViolated",
-    "Inhomogeneous",
-    "LaurentPoly",
-    "MutationArithmeticError",
-    "NoForcedSuccessor",
-    "NotAcyclic",
-    "NotFoundWithinBudget",
-    "NotLaurent",
-    "NotSkewSymmetrizable",
-    "PointFileError",
-    "Presentation",
-    "RationalFn",
-    "Seed",
-    "SeedFileError",
-    "SymbolicForm",
-    "VanishingPattern",
-    "VarTable",
-    "acyclic_presentation",
-    "adjacent_vanishing_pair",
-    "catalog",
-    "check_invariance",
-    "constant_vanishing_oracle",
-    "deep_witness",
-    "emit_form_file",
-    "emit_seed_file",
-    "explore",
-    "find_acyclic_seed",
-    "find_directed_cycle",
-    "find_regularizing_seed",
-    "find_skew_symmetrizer",
-    "form_degree",
-    "form_difference",
-    "format_gaussian",
-    "forms_equal",
-    "is_acyclic",
-    "mutate_matrix",
-    "parse_expression",
-    "parse_form_file",
-    "parse_gaussian",
-    "parse_point_file",
-    "parse_seed_file",
-    "point_vanishing_oracle",
-    "prime_toggle",
-    "propagate_point",
-    "pullback",
-    "rank",
-    "reduce_to_chart",
-    "regularize_at",
-    "tangent_dimension",
-    "trace_vanishing_cycle",
-    "vanishing_pattern",
-    "verify_point",
-    "wp_form",
-]
+# the public names are exactly the ones imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

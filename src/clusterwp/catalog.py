@@ -5,7 +5,7 @@ about it fluently: a naming convention for new variables, a reference
 exploration, an acyclic presentation when one exists, distinguished
 points, alternate 2-form expressions, and grading weights.
 
-Two naming conventions do real work here:
+Besides the default ``prime_namer``, two naming conventions do real work:
 
 * hexagon diagonals — the rank-3 chain fixture is the coordinate ring of
   diagonal lengths of a convex hexagon, variables labelled ``x13``
@@ -42,6 +42,7 @@ from .seeds import (
     Seed,
     acyclic_presentation,
     explore,
+    prime_namer,
 )
 
 CATALOG_KEYS = ("sl2", "a3", "affine-a11", "markov")
@@ -52,7 +53,7 @@ class CatalogEntry:
     key: str
     description: str
     seed: Seed
-    namer: Optional[Callable[[Seed, int], str]]
+    namer: Callable[[Seed, int], str]
     exploration: Exploration
     presentation: Optional[Presentation]
     points: Mapping[str, AlgebraPoint]
@@ -191,7 +192,7 @@ def _build_sl2():
         description="one mutable variable against two coefficients; the "
                     "smallest chart with a deep point",
         seed=seed,
-        namer=None,
+        namer=prime_namer,
         exploration=exploration,
         presentation=presentation,
         points={"deep": deep},
@@ -204,7 +205,7 @@ def _build_a3():
     matrix = ExchangeMatrix(3, 3, ((0, 1, 0), (-1, 0, 1), (0, -1, 0)))
     seed = Seed.initial(matrix, ("x13", "x14", "x15"))
     exploration = explore(seed, max_seeds=100, max_depth=6, namer=hexagon_namer)
-    presentation = acyclic_presentation(seed, primed_names=("x24", "x35", "x46"))
+    presentation = acyclic_presentation(seed, hexagon_namer)
     deep_values = {
         "x13": _gr(0), "x14": _gr(-1), "x15": _gr(0),
         "x24": _gr(0), "x25": _gr(-1), "x26": _gr(0),
@@ -245,7 +246,7 @@ def _staircase_point(j, lo, hi, context):
 def _build_affine():
     seed = Seed.initial(ExchangeMatrix(2, 2, ((0, 2), (-2, 0))), ("x0", "x1"))
     window = affine_window_exploration(seed, -2, 5)
-    presentation = acyclic_presentation(seed, primed_names=("x2", "xm1"))
+    presentation = acyclic_presentation(seed, affine_namer)
     points = {f"p{j}": _staircase_point(j, -2, 5, window) for j in range(4)}
     candidate = parse_form_file(_AFFINE_CANDIDATE, seed, "<catalog:affine-a11>")
     return CatalogEntry(
@@ -273,7 +274,7 @@ def _build_markov():
         description="the cyclic rank-3 chart with doubled exchanges; no "
                     "acyclic presentation exists and every variable may vanish",
         seed=seed,
-        namer=None,
+        namer=prime_namer,
         exploration=exploration,
         presentation=None,
         points={"p0": origin},

@@ -56,6 +56,7 @@ from .seeds import (
     find_directed_cycle,
     find_acyclic_seed,
     parse_seed_file,
+    prime_namer,
 )
 
 
@@ -73,10 +74,11 @@ def _read_file(path):
 
 def _resolve_seed(token):
     """A seed argument is a catalog key or a seed-file path.  Returns
-    (seed, catalog-entry-or-None)."""
+    (seed, namer, catalog-entry-or-None); a seed file names new variables
+    with ``prime_namer``."""
     if token in CATALOG_KEYS:
         entry = catalog(token)
-        return entry.seed, entry
+        return entry.seed, entry.namer, entry
     try:
         with open(token, encoding="utf-8") as handle:
             text = handle.read()
@@ -84,7 +86,7 @@ def _resolve_seed(token):
         raise _UsageError(
             f"{token!r} is not a catalog key ({', '.join(CATALOG_KEYS)}) "
             f"and not a readable seed file") from None
-    return parse_seed_file(text, token), None
+    return parse_seed_file(text, token), prime_namer, None
 
 
 def _load_point(path):
@@ -138,21 +140,19 @@ def _cmd_catalog(args):
 
 
 def _cmd_mutate(args):
-    seed, entry = _resolve_seed(args.seed)
-    namer = entry.namer if entry is not None else None
+    seed, namer, _ = _resolve_seed(args.seed)
     current = seed
     for k in args.directions:
         if not (1 <= k <= current.matrix.m):
             raise _UsageError(
                 f"direction {k} outside 1..{current.matrix.m}")
-        current = current.mutated(k, namer(current, k) if namer is not None else None)
+        current = current.mutated(k, namer(current, k))
     sys.stdout.write(emit_seed_file(current))
     return 0
 
 
 def _cmd_explore(args):
-    seed, entry = _resolve_seed(args.seed)
-    namer = entry.namer if entry is not None else None
+    seed, namer, _ = _resolve_seed(args.seed)
     result = explore(seed, max_seeds=args.max_seeds, max_depth=args.max_depth,
                      namer=namer)
     print(f"clusters {len(result.seeds)}")
@@ -168,7 +168,7 @@ def _cmd_explore(args):
 
 
 def _cmd_acyclic(args):
-    seed, _ = _resolve_seed(args.seed)
+    seed, _, _ = _resolve_seed(args.seed)
     if args.search is None:
         cycle = find_directed_cycle(seed.matrix)
         if cycle is None:
@@ -185,19 +185,9 @@ def _cmd_acyclic(args):
     return 0
 
 
-def _present(seed, entry):
-    if entry is not None and entry.presentation is not None:
-        return entry.presentation
-    return acyclic_presentation(seed)
-
-
 def _cmd_present(args):
-    seed, entry = _resolve_seed(args.seed)
-    try:
-        pres = _present(seed, entry)
-    except NotAcyclic as exc:
-        print(f"not acyclic: cycle {_cycle_text(exc.cycle)}")
-        return 1
+    seed, namer, _ = _resolve_seed(args.seed)
+    pres = acyclic_presentation(seed, namer)
     print(f"generators {' '.join(pres.table.names)}")
     if pres.frozen_names:
         print(f"frozen {' '.join(pres.frozen_names)}")
@@ -207,13 +197,13 @@ def _cmd_present(args):
 
 
 def _cmd_wp(args):
-    seed, _ = _resolve_seed(args.seed)
+    seed, _, _ = _resolve_seed(args.seed)
     sys.stdout.write(emit_form_file(wp_form(seed)))
     return 0
 
 
 def _cmd_equal(args):
-    seed, _ = _resolve_seed(args.seed)
+    seed, _, _ = _resolve_seed(args.seed)
     forms = []
     for path in (args.form_a, args.form_b):
         parsed = parse_form_file(_read_file(path), seed, path)
@@ -229,7 +219,7 @@ def _cmd_equal(args):
 
 
 def _cmd_invariance(args):
-    seed, _ = _resolve_seed(args.seed)
+    seed, _, _ = _resolve_seed(args.seed)
     if args.depth < 1:
         raise _UsageError("--depth must be at least 1")
     report = check_invariance(seed, args.depth)
@@ -261,8 +251,7 @@ def _pattern_from_args(args, seed):
 
 
 def _cmd_regularize(args):
-    seed, entry = _resolve_seed(args.seed)
-    namer = entry.namer if entry is not None else None
+    seed, namer, _ = _resolve_seed(args.seed)
     pattern, point = _pattern_from_args(args, seed)
     oracle = (point_vanishing_oracle(point) if point is not None
               else constant_vanishing_oracle(pattern.indices))
@@ -290,12 +279,8 @@ def _cmd_regularize(args):
 
 
 def _cmd_tangent(args):
-    seed, entry = _resolve_seed(args.seed)
-    try:
-        pres = _present(seed, entry)
-    except NotAcyclic as exc:
-        print(f"not acyclic: cycle {_cycle_text(exc.cycle)}")
-        return 1
+    seed, namer, _ = _resolve_seed(args.seed)
+    pres = acyclic_presentation(seed, namer)
     values = _load_point(args.point)
     point = AlgebraPoint(values, pres)
     try:
@@ -307,7 +292,7 @@ def _cmd_tangent(args):
 
 
 def _cmd_grade(args):
-    seed, entry = _resolve_seed(args.seed)
+    seed, _, entry = _resolve_seed(args.seed)
     if args.weights is not None:
         ws = _parse_index_list(args.weights, "--weights")
         if len(ws) != len(seed.names):
@@ -333,7 +318,7 @@ def _cmd_grade(args):
 
 
 def _cmd_deep(args):
-    seed, entry = _resolve_seed(args.seed)
+    seed, _, entry = _resolve_seed(args.seed)
     if entry is not None:
         exploration = entry.exploration
     else:
@@ -459,6 +444,9 @@ def main(argv=None):
             if getattr(args, budget, None) is not None and getattr(args, budget) < 0:
                 raise _UsageError(f"--{budget.replace('_', '-')} must not be negative")
         return args.func(args)
+    except NotAcyclic as exc:   # present and tangent need an acyclic seed
+        print(f"not acyclic: cycle {_cycle_text(exc.cycle)}")
+        return 1
     except (SeedFileError, FormFileError, PointFileError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

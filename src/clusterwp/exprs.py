@@ -149,7 +149,10 @@ def parse_expression(text: str, table: VarTable) -> RationalFn:
     if not tokens:
         raise ExprError("empty expression", 1)
     parser = _Parser(tokens, table, len(text))
-    value = parser.expr()
+    try:
+        value = parser.expr()
+    except RecursionError:
+        raise ExprError("expression nested too deeply", 1) from None
     leftover = parser.peek()
     if leftover is not None:
         raise ExprError(f"unexpected {leftover[1]!r}", leftover[2])

@@ -29,8 +29,10 @@ from .seeds import (
     Presentation,
     Seed,
     _exchange_partner,
+    _fresh,
+    _seed_budget,
     _walk,
-    prime_toggle,
+    prime_namer,
 )
 
 
@@ -266,7 +268,7 @@ def _negative_support(poly):
     return names
 
 
-def regularize_at(seed, pattern, namer=None):
+def regularize_at(seed, pattern, namer=prime_namer):
     """Rewrite the chart form so no written denominator meets the vanishing
     set.
 
@@ -276,9 +278,10 @@ def regularize_at(seed, pattern, namer=None):
         [prod_{B_ij>0} f_j^{-B_ij}] * (df_i∧df_i' +
             f_i' * sum_{B_ij<0} B_ij df_i∧df_j / f_j),
 
-    introducing the once-mutated generator f_i'.  Non-singular terms are kept
-    verbatim.  Raises HypothesisViolated when two vanishing indices are
-    exchange-adjacent."""
+    introducing the once-mutated generator f_i', named ``namer(seed, i)``
+    with primes appended until it differs from the seed's names and the
+    generators introduced before it.  Non-singular terms are kept verbatim.
+    Raises HypothesisViolated when two vanishing indices are exchange-adjacent."""
     if pattern.seed != seed:
         raise ValueError("pattern was built over a different seed")
     pair = adjacent_vanishing_pair(pattern)
@@ -298,12 +301,10 @@ def regularize_at(seed, pattern, namer=None):
 
     chart_table = seed.chart()
     chart_vars = [LaurentPoly.variable(chart_table, nm) for nm in seed.names]
-    primes = {}
-    extras = {}
-    for i in v_sorted:
-        pname = namer(seed, i) if namer is not None else prime_toggle(seed.names[i - 1])
-        extras[pname] = _exchange_partner(mat, i, chart_vars, chart_table)
-        primes[i] = pname
+    taken = set(seed.names)
+    primes = {i: _fresh(namer(seed, i), taken) for i in v_sorted}
+    extras = {primes[i]: _exchange_partner(mat, i, chart_vars, chart_table)
+              for i in v_sorted}
 
     sym_table = VarTable(seed.names + tuple(extras))
     var = {nm: LaurentPoly.variable(sym_table, nm) for nm in sym_table.names}
@@ -352,14 +353,14 @@ def point_vanishing_oracle(point):
 
 
 def find_regularizing_seed(start, v_oracle, max_depth=3, max_seeds=1000,
-                           namer=None):
+                           namer=prime_namer):
     """Breadth-first search of the mutation graph for a seed whose chart
     admits the regularizing rewrite for its oracle-supplied vanishing set,
     among the first max_seeds distinct clusters in breadth-first order, none
     deeper than max_depth; raises NotFoundWithinBudget if none does.  The
     walk names new variables by ``namer``, which ``regularize_at`` uses too."""
-    step = Seed.mutated if namer is None else lambda s, k: s.mutated(k, namer(s, k))
-    for s, _ in islice(_walk(start, max_depth, step), max(max_seeds, 1)):
+    walk = _walk(start, max_depth, lambda s, k: s.mutated(k, namer(s, k)))
+    for s, _ in islice(walk, _seed_budget(max_seeds, max_depth)):
         try:
             return s, regularize_at(s, v_oracle(s), namer=namer)
         except HypothesisViolated:

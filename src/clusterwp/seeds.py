@@ -10,6 +10,10 @@ arithmetic only and a cluster is identified by its g-vectors.  Laurent
 expansions in an initial chart live in an ``Exploration``, which computes
 each distinct variable's expansion once, by one exact division from a seed
 one mutation away.
+
+A new variable is named by a namer ``(seed, k) -> name``, by default
+``prime_namer``, and primed until fresh among the names around it: the
+seed's, a presentation's partners, or every name an exploration has given.
 """
 
 from __future__ import annotations
@@ -138,8 +142,22 @@ def mutate_matrix(matrix, k):
 
 
 def prime_toggle(name):
-    """Default renaming under mutation: append a prime, or strip one."""
+    """Append a prime, or strip one."""
     return name[:-1] if name.endswith("'") else name + "'"
+
+
+def _fresh(name, taken):
+    """``name``, primed until it is not in the set ``taken``; adds it there."""
+    while name in taken:
+        name += "'"
+    taken.add(name)
+    return name
+
+
+def prime_namer(seed, k):
+    """The default namer: the prime-toggle of the name at slot k, with primes
+    appended until it differs from every name of the seed."""
+    return _fresh(prime_toggle(seed.names[k - 1]), set(seed.names))
 
 
 def _exchange_binomial(row, factors, table):
@@ -200,14 +218,14 @@ class Seed:
         return tuple(g)
 
     def mutated(self, k, new_name=None):
-        """Seed mutation in direction k; the replaced variable is renamed by
-        prime-toggling unless an explicit name is supplied.  The c-vectors
+        """Seed mutation in direction k; the replaced variable is renamed
+        ``new_name``, by default ``prime_namer(self, k)``.  The c-vectors
         mutate as m extra matrix columns."""
         m, n = self.matrix.m, self.matrix.n
         extended = mutate_matrix(ExchangeMatrix(m, n + m, tuple(
             row + c for row, c in zip(self.matrix.rows, self.cvectors))), k)
         names = list(self.names)
-        names[k - 1] = new_name if new_name is not None else prime_toggle(names[k - 1])
+        names[k - 1] = new_name if new_name is not None else prime_namer(self, k)
         gvectors = list(self.gvectors)
         gvectors[k - 1] = self._partner_gvector(k)
         return Seed(ExchangeMatrix(m, n, tuple(row[:n] for row in extended.rows)),
@@ -276,11 +294,19 @@ def _walk(seed, max_depth, step=Seed.mutated):
                 yield t, depth + 1
 
 
+def _seed_budget(max_seeds, max_depth):
+    """Clusters a walk keeps: ``max_seeds``, but always the start."""
+    if min(max_seeds, max_depth) < 0:
+        raise ValueError(
+            f"negative budget: max_seeds={max_seeds}, max_depth={max_depth}")
+    return max(max_seeds, 1)
+
+
 def find_acyclic_seed(seed, max_seeds=1000, max_depth=16):
     """Breadth-first search of the mutation graph for an acyclic seed among
     the first max_seeds distinct clusters in breadth-first order, none
     deeper than max_depth; raises NotFoundWithinBudget if none is."""
-    for s, _ in islice(_walk(seed, max_depth), max(max_seeds, 1)):
+    for s, _ in islice(_walk(seed, max_depth), _seed_budget(max_seeds, max_depth)):
         if is_acyclic(s.matrix):
             return s
     raise NotFoundWithinBudget(
@@ -303,17 +329,16 @@ class Presentation:
     relations: tuple
 
 
-def acyclic_presentation(seed, primed_names=None):
+def acyclic_presentation(seed, namer=prime_namer):
+    """Presentation of an acyclic seed (NotAcyclic names a cycle).  Partner
+    i is named ``namer(seed, i)``, with primes appended until it differs
+    from the seed's names and the partners before it."""
     cycle = find_directed_cycle(seed.matrix)
     if cycle is not None:
         raise NotAcyclic(cycle)
     m = seed.matrix.m
-    if primed_names is None:
-        primed_names = tuple(prime_toggle(nm) for nm in seed.names[:m])
-    else:
-        primed_names = tuple(primed_names)
-        if len(primed_names) != m:
-            raise ValueError(f"expected {m} primed names, got {len(primed_names)}")
+    taken = set(seed.names)
+    primed_names = tuple(_fresh(namer(seed, i), taken) for i in range(1, m + 1))
     table = VarTable(seed.names + primed_names)
     gens = [LaurentPoly.variable(table, nm) for nm in seed.names]
     relations = []
@@ -403,31 +428,28 @@ class Exploration:
         return self._relations
 
 
-def explore(seed, max_seeds=1000, max_depth=16, namer=None):
+def explore(seed, max_seeds=1000, max_depth=16, namer=prime_namer):
     """Breadth-first exploration of the mutation graph from a seed.
 
     Keeps the first max_seeds distinct clusters in breadth-first order,
     none deeper than max_depth.  Clusters and variables are identified by
     g-vectors, so the walk terminates on finite exchange graphs.
-    Newly met variables are named by ``namer(seed, k)`` (default:
-    prime-toggle of the replaced name), with primes appended until the name
-    is fresh; variables met again keep their first name.  ``truncated`` is
+    A newly met variable is named ``namer(seed, k)``, with primes appended
+    until the name differs from every name the exploration has given;
+    variables met again keep their first name.  ``truncated`` is
     set when the seed budget bites or a node at the depth cap is left
     unexpanded.
     """
-    names = dict(zip(seed.gvectors, seed.names))
+    names, taken = dict(zip(seed.gvectors, seed.names)), set(seed.names)
 
     def step(s, k):
         g = s._partner_gvector(k)
         if g not in names:
-            name = namer(s, k) if namer is not None else prime_toggle(s.names[k - 1])
-            while name in names.values():
-                name += "'"
-            names[g] = name
+            names[g] = _fresh(namer(s, k), taken)
         return s.mutated(k, names[g])
 
     walk = _walk(seed, max_depth, step)
-    kept = list(islice(walk, max(max_seeds, 1)))
+    kept = list(islice(walk, _seed_budget(max_seeds, max_depth)))
     truncated = (next(walk, None) is not None
                  or any(depth == max_depth for _, depth in kept))
     return Exploration([s for s, _ in kept], truncated)

@@ -367,6 +367,17 @@ def test_equal_zero_numerator_after_gen_substitution(capsys, tmp_path):
     assert out == "not equal\ndifference (first - second):\n-1 ; x ; c1\n"
 
 
+@pytest.mark.parametrize("term", ["(" * 2000 + "x" + ")" * 2000, "-" * 3000 + "x"],
+                         ids=["parentheses", "minus-signs"])
+def test_equal_deeply_nested_term_is_a_usage_error(capsys, tmp_path, term):
+    a = _write(capsys, tmp_path, "wp.form", "wp", "sl2")
+    deep = tmp_path / "deep.form"
+    deep.write_text(f"{term} ; x ; c1\n")
+    rc, out, err = run(capsys, "equal", "sl2", str(deep), a)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {deep}:1: col 1: expression nested too deeply\n"
+
+
 # ---------------------------------------------------------------------------
 # invariance
 
@@ -667,6 +678,47 @@ def test_point_file_diagnostics_carry_location(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# fresh names: a seed file whose second name is the prime-toggle of its first
+
+TWINS_SEED = "rank 2\nmutable 2\nnames x x'\nrow 0 1\nrow -1 0\n"
+
+
+@pytest.fixture
+def twins(tmp_path):
+    path = tmp_path / "twins.seed"
+    path.write_text(TWINS_SEED)
+    return str(path)
+
+
+def test_mutate_names_are_fresh(capsys, twins):
+    rc, out, err = run(capsys, "mutate", twins, "1")
+    assert (rc, err) == (0, "")
+    assert "names x'' x'" in out.splitlines()
+    assert parse_seed_file(out).names == ("x''", "x'")
+
+
+def test_present_partners_are_fresh(capsys, twins):
+    rc, out, err = run(capsys, "present", twins)
+    assert (rc, err) == (0, "")
+    assert out == ("generators x x' x'' x'''\n"
+                   "relation x*x'' - x' - 1\n"
+                   "relation x'*x''' - x - 1\n")
+
+
+def test_tangent_over_fresh_partners(capsys, twins, tmp_path):
+    point = tmp_path / "p.point"
+    point.write_text("x = 1\nx' = 1\nx'' = 2\nx''' = 2\n")
+    rc, out, err = run(capsys, "tangent", twins, "--point", str(point))
+    assert (rc, out, err) == (0, "2\n", "")
+
+
+def test_invariance_over_fresh_names(capsys, twins):
+    rc, out, err = run(capsys, "invariance", twins, "--depth", "2")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[-1] == "all 6 sequences pass"
+
+
+# ---------------------------------------------------------------------------
 # the exit-code contract under fuzzing
 
 FUZZ_COMMANDS = (
@@ -678,15 +730,22 @@ FUZZ_COMMANDS = (
     ["explore", "SEED", "--max-seeds", "10"],
     ["regularize", "SEED", "--pattern", "1"],
     ["regularize", "SEED", "--pattern", "1", "--search", "3"],
+    ["mutate", "SEED", "1"],
 )
+
+# names with their primed twins, so that prime-toggling meets taken names
+NAME_POOL = tuple(f"v{j}" + "'" * primes for j in range(2) for primes in range(3))
 
 
 @st.composite
 def small_seed_texts(draw):
-    """Seed files with m <= 3, n <= 4 and entries in -2..2.  Half are
-    B = S*D on the mutable block (S skew-symmetric, D positive diagonal);
-    the rest are mostly not skew-symmetrizable and must exit 2."""
+    """Seed files with m <= 3, n <= 4, entries in -2..2 and distinct names
+    from ``NAME_POOL``.  Half are B = S*D on the mutable block (S
+    skew-symmetric, D positive diagonal); the rest are mostly not
+    skew-symmetrizable and must exit 2."""
     n = draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from(NAME_POOL), min_size=n, max_size=n,
+                          unique=True))
     m = draw(st.integers(1, min(n, 3)))
     rows = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(m)]
     if draw(st.booleans()):
@@ -697,7 +756,7 @@ def small_seed_texts(draw):
                 s = draw(st.integers(-1, 1))
                 rows[i][j], rows[j][i] = s * d[j], -s * d[i]
     lines = [f"rank {n}", f"mutable {m}",
-             "names " + " ".join(f"v{j}" for j in range(n))]
+             "names " + " ".join(names)]
     lines += ["row " + " ".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
@@ -705,6 +764,7 @@ def small_seed_texts(draw):
 @settings(max_examples=150, deadline=None)
 @given(small_seed_texts())
 @example("rank 2\nmutable 2\nnames v0 v1\nrow 0 1\nrow -2 0\n")
+@example("rank 2\nmutable 2\nnames x x'\nrow 0 1\nrow -1 0\n")
 def test_cli_exit_code_contract_fuzz(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.seed")
@@ -712,10 +772,11 @@ def test_cli_exit_code_contract_fuzz(text):
             handle.write(text)
         for command in FUZZ_COMMANDS:
             argv = [path if a == "SEED" else a for a in command]
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(err):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = main(argv)
             assert rc in (0, 1, 2), (argv, text)
             if rc == 2:
                 assert len(err.getvalue().splitlines()) == 1, (argv, text)
+            if rc == 0 and command[0] == "mutate":
+                parse_seed_file(out.getvalue())

@@ -1,13 +1,16 @@
-"""Golden transcripts of the exchange-graph walkers.
+"""Golden transcripts of the exchange-graph walkers and the namers.
 
 ``tests/golden/*.out`` hold the exact stdout of the walker commands
 (``explore``, ``acyclic --search``, ``regularize --search``; ``explore`` on
 a G2 seed with two frozen columns pins the g-vector keys of a
 skew-symmetrizable seed with coefficients), of a failing
-``invariance`` run and of ``scripts/tour.py``, which calls every walker
-consumer.  A refactor of the walk or of the form reduction must reproduce
-them byte for byte; they are never regenerated from the code under test.  ``@name`` in an argument list names a seed file in the
-golden directory.
+``invariance`` run, of the commands that name new variables (``present``,
+``mutate``, ``regularize`` without a search, ``tangent`` over a catalog
+presentation) and of ``scripts/tour.py``, which calls every walker
+consumer.  A refactor of the walk, of the naming or of the form reduction
+must reproduce them byte for byte; they are never regenerated from the
+code under test.  ``@name`` in an argument list names a seed or point
+file in the golden directory.
 """
 
 import runpy
@@ -44,6 +47,13 @@ CASES = [
     ("regularize-a3-file-12-search50", 0,
      ["regularize", "@a3.seed", "--pattern", "1,2", "--search", "50"]),
     ("invariance-c3-depth3", 1, ["invariance", "@c3.seed", "--depth", "3"]),
+    ("present-sl2", 0, ["present", "sl2"]),
+    ("present-a3", 0, ["present", "a3"]),
+    ("present-affine-a11", 0, ["present", "affine-a11"]),
+    ("mutate-a3-123", 0, ["mutate", "a3", "1", "2", "3"]),
+    ("mutate-affine-a11-121", 0, ["mutate", "affine-a11", "1", "2", "1"]),
+    ("regularize-sl2-1", 0, ["regularize", "sl2", "--pattern", "1"]),
+    ("tangent-a3-deep", 0, ["tangent", "a3", "--point", "@a3-deep.point"]),
 ]
 
 

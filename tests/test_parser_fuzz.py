@@ -1,0 +1,107 @@
+"""Hypothesis fuzzing of the seed, form and point file parsers.
+
+Each input is line soup built from the parser's own grammar: its keywords,
+``gen``, ``;``, ``#``, parentheses, ``^-``, primed names and one-digit
+numbers, both in the shape of a valid line and shuffled.  Whatever the
+text, a parser returns or raises its own module's ``*FileError`` with a
+one-line message; nothing else may escape.  Exponents stay one digit: the
+size of exponent literals is not bounded yet.
+"""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from clusterwp.forms import FormFileError, parse_form_file
+from clusterwp.regularity import PointFileError, parse_point_file
+from clusterwp.seeds import ExchangeMatrix, Seed, SeedFileError, parse_seed_file
+
+SL2 = Seed.initial(ExchangeMatrix(1, 3, ((0, 1, 1),)), ("x", "c1", "c2"))
+A3 = Seed.initial(ExchangeMatrix(3, 3, ((0, 1, 0), (-1, 0, 1), (0, -1, 0))),
+                  ("x13", "x14", "x15"))
+
+DIGITS = tuple("0123456789")
+NAMES = ("x", "x'", "x''", "c1", "c2", "x13", "x14", "x15", "x24", "x24'",
+         "g", "g'", "i", "1x", "x-y")
+OPERATORS = ("(", ")", "^", "^-", "-", "+", "*", "/")
+SYMBOLS = ("#", ";", "=", "gen", "'", "@") + OPERATORS
+
+
+def soup(*pools, max_size=7):
+    """Space-joined tokens drawn from the pools."""
+    tokens = st.sampled_from(tuple(t for pool in pools for t in pool))
+    return st.lists(tokens, max_size=max_size).map(" ".join)
+
+
+def text_of(lines):
+    return st.lists(lines, max_size=6).map("\n".join)
+
+
+seed_lines = st.one_of(
+    st.tuples(st.sampled_from(("rank", "mutable", "names", "row", "#")),
+              soup(DIGITS, ("-1", "-2", "+1", "--1", "1.5"), NAMES, max_size=4))
+    .map(" ".join),
+    soup(("rank", "mutable", "names", "row"), DIGITS, NAMES, SYMBOLS),
+)
+
+
+@st.composite
+def shaped_seed_texts(draw):
+    """Seed files whose lines come in order and whose counts mostly agree."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=n, max_size=n))
+    entries = st.lists(st.sampled_from(("0", "1", "-1", "2", "-2", "x")),
+                       min_size=n, max_size=n)
+    rows = draw(st.lists(entries, min_size=min(m, 1), max_size=m))
+    return "\n".join([f"rank {n}", f"mutable {m}", "names " + " ".join(names)]
+                     + ["row " + " ".join(row) for row in rows])
+
+
+seed_texts = st.one_of(shaped_seed_texts(), text_of(seed_lines))
+
+expressions = soup(DIGITS, NAMES, OPERATORS)
+form_lines = st.one_of(
+    st.builds("gen {} = {}".format, st.sampled_from(NAMES), expressions),
+    st.builds("{} ; {} ; {}".format, expressions, st.sampled_from(NAMES),
+              st.sampled_from(NAMES)),
+    soup(DIGITS, NAMES, SYMBOLS),
+)
+
+LITERALS = ("0", "1", "-1", "1/2", "1/0", "i", "-i", "2+3i", "1-i", "3i", "i/2",
+            "1/2+i", "--1")
+point_lines = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(NAMES), st.sampled_from(LITERALS)),
+    soup(DIGITS, NAMES, LITERALS, ("=", "#", "+", "/")),
+)
+
+
+def parses_or_raises(error, parse, *args):
+    try:
+        parse(*args)
+    except error as exc:
+        assert "\n" not in str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed_texts)
+@example("rank 2\nmutable 2\nnames x x'\nrow 0 1\nrow -1 0")
+@example("rank 9\nmutable 9\nnames x")
+def test_seed_file_parser_fuzz(text):
+    parses_or_raises(SeedFileError, parse_seed_file, text, "fuzz.seed")
+
+
+@pytest.mark.parametrize("chart", [SL2, A3], ids=["sl2", "a3"])
+@settings(max_examples=200, deadline=None)
+@given(text=text_of(form_lines))
+@example(text="gen x' = ( c1 * c2 + 1 ) / x\n1 / ( c1 * c2 ) ; x ; x'")
+@example(text="gen g = x - x\ng ^- 1 ; x ; c1")
+@example(text="0 ^- 1 ; x ; c1")
+def test_form_file_parser_fuzz(chart, text):
+    parses_or_raises(FormFileError, parse_form_file, text, chart, "fuzz.form")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text_of(point_lines))
+@example("x = 1\nx' = 1/0")
+def test_point_file_parser_fuzz(text):
+    parses_or_raises(PointFileError, parse_point_file, text, "fuzz.point")

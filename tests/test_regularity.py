@@ -224,7 +224,7 @@ def test_trace_cycle_under_mutation():
 # ---------------------------------------------------------------------------
 
 def a3_namer(seed, k):
-    return {1: "x24", 3: "x46"}[k]
+    return {1: "x24", 2: "x35", 3: "x46"}[k]
 
 
 def test_regularize_a3_frozen():
@@ -280,6 +280,19 @@ def test_regularize_sl2_at_origin():
     assert forms_equal(reduce_to_chart(out, SL2), wp_form(SL2))
     exprs = [(c.to_expr(), g, h) for c, g, h in out.terms]
     assert exprs == [("c1^-1*c2^-1", "x", "x'")]
+
+
+def test_regularize_partner_names_are_fresh():
+    # the default name x' of x's partner is taken by the second variable
+    twins = Seed.initial(ExchangeMatrix(2, 2, ((0, 1), (-1, 0))), ("x", "x'"))
+    out = regularize_at(twins, VanishingPattern(twins, frozenset({1})))
+    assert out.table.names == ("x", "x'", "x''")
+    assert forms_equal(reduce_to_chart(out, twins), wp_form(twins))
+    # a namer that repeats itself still gets one fresh name per partner
+    out = regularize_at(A3, VanishingPattern(A3, frozenset({1, 3})),
+                        namer=lambda s, k: "x14")
+    assert out.table.names == ("x13", "x14", "x15", "x14'", "x14''")
+    assert forms_equal(reduce_to_chart(out, A3), wp_form(A3))
 
 
 def test_regularize_seed_pattern_mismatch():
@@ -341,14 +354,14 @@ def test_tangent_sl2_deep():
 
 
 def test_tangent_a3_deep():
-    pres = acyclic_presentation(A3, primed_names=("x24", "x35", "x46"))
+    pres = acyclic_presentation(A3, a3_namer)
     p = AlgebraPoint({"x13": 0, "x14": -1, "x15": 0,
                       "x24": 0, "x35": 0, "x46": 0}, pres)
     assert tangent_dimension(pres, p) == 4
 
 
 def test_tangent_a3_generic():
-    pres = acyclic_presentation(A3, primed_names=("x24", "x35", "x46"))
+    pres = acyclic_presentation(A3, a3_namer)
     p = AlgebraPoint({"x13": 1, "x14": 1, "x15": 1,
                       "x24": 2, "x35": 2, "x46": 2}, pres)
     assert tangent_dimension(pres, p) == 3
@@ -369,7 +382,7 @@ def test_tangent_rejects_invalid_point():
 
 
 def test_tangent_at_least_rank_bound():
-    pres = acyclic_presentation(A3, primed_names=("x24", "x35", "x46"))
+    pres = acyclic_presentation(A3, a3_namer)
     for vals in [(1, 1, 1, 2, 2, 2), (1, 2, 1, 3, 1, 3)]:
         names = ("x13", "x14", "x15", "x24", "x35", "x46")
         p = AlgebraPoint(dict(zip(names, vals)), pres)

@@ -28,8 +28,10 @@ from clusterwp.seeds import (
     is_acyclic,
     mutate_matrix,
     parse_seed_file,
+    prime_namer,
     prime_toggle,
 )
+from clusterwp.regularity import constant_vanishing_oracle, find_regularizing_seed
 from clusterwp.seeds import _exchange_partner, _walk
 
 SL2 = ExchangeMatrix(1, 3, ((0, 1, 1),))
@@ -52,6 +54,11 @@ def affine_seed():
 
 def markov_seed():
     return Seed.initial(MARKOV, ("x1", "x2", "x3"))
+
+
+def twins_seed():
+    """A rank-2 chart whose second name is the prime-toggle of its first."""
+    return Seed.initial(ExchangeMatrix(2, 2, ((0, 1), (-1, 0))), ("x", "x'"))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +191,16 @@ def test_prime_toggle():
     assert prime_toggle("x14'") == "x14"
 
 
+def test_prime_namer_is_fresh_in_the_seed():
+    assert prime_namer(sl2_seed(), 1) == "x'"
+    assert sl2_seed().mutated(1).mutated(1).names == ("x", "c1", "c2")
+    # the toggle of x is x' and the toggle of x' is x: both are taken
+    assert prime_namer(twins_seed(), 1) == "x''"
+    assert prime_namer(twins_seed(), 2) == "x''"
+    assert twins_seed().mutated(1).names == ("x''", "x'")
+    assert twins_seed().mutated(2).names == ("x", "x''")
+
+
 def test_custom_name():
     s = affine_seed().mutated(1, new_name="x2")
     assert s.names == ("x2", "x1")
@@ -312,7 +329,7 @@ def test_sl2_presentation_frozen():
 
 
 def test_a3_presentation_frozen():
-    p = acyclic_presentation(a3_seed(), primed_names=("x24", "x35", "x46"))
+    p = acyclic_presentation(a3_seed(), lambda s, k: ("x24", "x35", "x46")[k - 1])
     t = p.table
     assert t.names == ("x13", "x14", "x15", "x24", "x35", "x46")
     v = {n: LaurentPoly.variable(t, n) for n in t.names}
@@ -321,6 +338,18 @@ def test_a3_presentation_frozen():
         v["x14"] * v["x35"] - v["x15"] - v["x13"],
         v["x15"] * v["x46"] - 1 - v["x14"],
     )
+
+
+def test_presentation_partners_are_fresh():
+    # each partner differs from the seed's names and the partners before it
+    p = acyclic_presentation(twins_seed())
+    assert p.primed_names == ("x''", "x'''")
+    v = {n: LaurentPoly.variable(p.table, n) for n in p.table.names}
+    assert p.relations == (v["x"] * v["x''"] - v["x'"] - 1,
+                           v["x'"] * v["x'''"] - v["x"] - 1)
+    p = acyclic_presentation(a3_seed(), lambda s, k: "x14")
+    assert p.primed_names == ("x14'", "x14''", "x14'''")
+    assert acyclic_presentation(a3_seed()) == acyclic_presentation(a3_seed(), prime_namer)
 
 
 def test_presentation_rejects_cyclic():
@@ -380,6 +409,34 @@ def test_explore_stops_at_the_first_cluster_over_budget(monkeypatch):
     e = explore(markov_seed(), max_seeds=30)
     assert len(e.seeds) == 30 and e.truncated
     assert len(calls) == 43
+
+
+def test_explore_names_are_fresh_in_the_exploration():
+    e = explore(twins_seed())
+    assert [s.names for s in e.seeds] == [
+        ("x", "x'"), ("x''", "x'"), ("x", "x'''"), ("x''", "x''''"), ("x''''", "x'''")]
+    assert e.n_variables == 5 and not e.truncated
+
+
+@pytest.mark.parametrize("search", [
+    explore,
+    find_acyclic_seed,
+    lambda s, **budget: find_regularizing_seed(s, constant_vanishing_oracle({1}), **budget),
+], ids=["explore", "find_acyclic_seed", "find_regularizing_seed"])
+@pytest.mark.parametrize("budget", [{"max_seeds": -1}, {"max_depth": -1}],
+                         ids=["max_seeds", "max_depth"])
+def test_negative_budgets_raise(search, budget):
+    with pytest.raises(ValueError, match="negative budget"):
+        search(a3_seed(), **budget)
+
+
+def test_zero_budgets_keep_the_start():
+    for budget in ({"max_seeds": 0}, {"max_depth": 0}):
+        e = explore(a3_seed(), **budget)
+        assert e.seeds == (a3_seed(),) and e.truncated
+        assert find_acyclic_seed(a3_seed(), **budget) == a3_seed()
+        seed, _ = find_regularizing_seed(a3_seed(), constant_vanishing_oracle({1}), **budget)
+        assert seed == a3_seed()
 
 
 def test_explore_frozen_expansions_stable():
