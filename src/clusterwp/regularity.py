@@ -72,13 +72,6 @@ class AlgebraPoint:
         return self.assignment.get(name)
 
 
-def _context_frozen_names(context):
-    if isinstance(context, Presentation):
-        return context.frozen_names
-    first = context.seeds[0]
-    return first.names[first.matrix.m:]
-
-
 def _pos_neg_value(factors, assignment):
     """Evaluate a (name, exponent) monomial list, or None if unassigned."""
     total = GaussianRational.of(1)
@@ -110,7 +103,7 @@ def verify_point(point):
         raise ValueError("point has no relation context to verify against")
     issues = []
     a = point.assignment
-    for name in _context_frozen_names(point.context):
+    for name in point.context.frozen_names:
         v = a.get(name)
         if v is not None and not v:
             issues.append(f"frozen variable {name} must be nonzero")
@@ -358,9 +351,10 @@ def find_regularizing_seed(start, v_oracle, max_depth=3, max_seeds=1000,
     admits the regularizing rewrite for its oracle-supplied vanishing set,
     among the first max_seeds distinct clusters in breadth-first order, none
     deeper than max_depth; raises NotFoundWithinBudget if none does.  The
-    walk names new variables by ``namer``, which ``regularize_at`` uses too."""
-    walk = _walk(start, max_depth, lambda s, k: s.mutated(k, namer(s, k)))
-    for s, _ in islice(walk, _seed_budget(max_seeds, max_depth)):
+    walk names variables by ``namer`` as ``explore`` does; ``regularize_at``
+    names its generators by ``namer`` in the found seed's scope."""
+    for s, _ in islice(_walk(start, max_depth, namer),
+                       _seed_budget(max_seeds, max_depth)):
         try:
             return s, regularize_at(s, v_oracle(s), namer=namer)
         except HypothesisViolated:

@@ -8,18 +8,20 @@ coefficients at its root, the ``Seed.initial`` it was mutated from
 (Fomin-Zelevinsky, *Cluster algebras IV*), so mutation is integer
 arithmetic only and a cluster is identified by its g-vectors.  Laurent
 expansions in an initial chart live in an ``Exploration``, which computes
-each distinct variable's expansion once, by one exact division from a seed
-one mutation away.
+each distinct variable's expansion on first read, by one exact division
+from a seed one mutation away.
 
 A new variable is named by a namer ``(seed, k) -> name``, by default
 ``prime_namer``, and primed until fresh among the names around it: the
-seed's, a presentation's partners, or every name an exploration has given.
+seed's, a presentation's partners, or every name a walk of the exchange
+graph has given, so ``explore`` and both searches agree on names.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -272,12 +274,15 @@ def is_acyclic(matrix):
     return find_directed_cycle(matrix) is None
 
 
-def _walk(seed, max_depth, step=Seed.mutated):
+def _walk(seed, max_depth, namer=prime_namer):
     """Breadth-first walk of the exchange graph from ``seed``, yielding
     ``(seed, depth)`` for each distinct cluster (by ``cluster_key``) the
     moment it is discovered, the start first; discovery order is also
-    expansion order.  Seeds at ``max_depth`` are not expanded.
-    ``step(s, k)`` makes the neighbour of ``s`` in direction k."""
+    expansion order.  Seeds at ``max_depth`` are not expanded.  Variables
+    are told apart by g-vector: one met first in slot k of a seed s is named
+    ``namer(s, k)``, primed until it differs from every name the walk has
+    given, and keeps that name wherever the walk meets it again."""
+    names, taken = dict(zip(seed.gvectors, seed.names)), set(seed.names)
     seen = {seed.cluster_key()}
     queue = deque([(seed, 0)])
     yield seed, 0
@@ -286,7 +291,10 @@ def _walk(seed, max_depth, step=Seed.mutated):
         if depth == max_depth:
             continue
         for k in range(1, s.matrix.m + 1):
-            t = step(s, k)
+            g = s._partner_gvector(k)
+            if g not in names:
+                names[g] = _fresh(namer(s, k), taken)
+            t = s.mutated(k, names[g])
             key = t.cluster_key()
             if key not in seen:
                 seen.add(key)
@@ -368,19 +376,20 @@ class Exploration:
     """A connected family of seeds with globally consistent variable names.
 
     ``variables`` maps each distinct variable name, told apart by g-vector,
-    to its expansion in the first seed's chart, in order of first discovery.
-    A new variable must sit in a slot k of a seed that is mu_k of an earlier
-    seed; its expansion is the exchange partner there, one exact division.
-    ``truncated`` records whether the search stopped before exhausting the
-    mutation graph."""
+    to its expansion in the first seed's chart, in order of first discovery;
+    it is computed on first read.  A new variable must sit in a slot k of a
+    seed that is mu_k of an earlier seed; its expansion is the exchange
+    partner there, one exact division.  ``truncated`` records whether the
+    search stopped before exhausting the mutation graph."""
 
     def __init__(self, seeds, truncated):
         self.seeds = tuple(seeds)
         self.truncated = truncated
         root = self.seeds[0]
-        table = root.chart()
-        names = dict(zip(root.gvectors, root.names))
-        variables = {nm: LaurentPoly.variable(table, nm) for nm in root.names}
+        self.frozen_names = root.names[root.matrix.m:]
+        self._names = names = dict(zip(root.gvectors, root.names))
+        given = set(root.names)
+        self._new = []  # (name, parent seed, k) per new variable
         earlier = {}    # (k, g-vectors off slot k) -> a seed holding them
         for s in self.seeds:
             for k, (g, name) in enumerate(zip(s.gvectors, s.names), 1):
@@ -389,27 +398,34 @@ class Exploration:
                         raise ValueError(
                             f"variable named both {names[g]!r} and {name!r}")
                     continue
-                if name in variables:
+                if name in given:
                     raise ValueError(f"name {name!r} reused for a new variable")
                 parent = earlier.get((k, s.gvectors[:k - 1] + s.gvectors[k:]))
                 if parent is None:
                     raise ValueError(f"new variable {name!r} is not one "
                                      f"mutation away from an earlier seed")
-                factors = [variables[names[h]] for h in parent.gvectors]
-                try:
-                    variables[name] = _exchange_partner(parent.matrix, k, factors, table)
-                except NotLaurent as exc:   # pragma: no cover - Laurent phenomenon
-                    raise MutationArithmeticError(f"{name} is not Laurent") from exc
+                self._new.append((name, parent, k))
                 names[g] = name
+                given.add(name)
             for k in range(1, s.matrix.m + 1):
                 earlier.setdefault((k, s.gvectors[:k - 1] + s.gvectors[k:]), s)
-        self.variables = variables
-        self._names = names
         self._relations = None
+
+    @cached_property
+    def variables(self):
+        table = self.seeds[0].chart()
+        variables = {nm: LaurentPoly.variable(table, nm) for nm in self.seeds[0].names}
+        for name, parent, k in self._new:
+            factors = [variables[self._names[h]] for h in parent.gvectors]
+            try:
+                variables[name] = _exchange_partner(parent.matrix, k, factors, table)
+            except NotLaurent as exc:   # pragma: no cover - Laurent phenomenon
+                raise MutationArithmeticError(f"{name} is not Laurent") from exc
+        return variables
 
     @property
     def n_variables(self):
-        return len(self.variables)
+        return len(self._names)
 
     def relations(self):
         """Every (seed, direction) exchange relation, seeds in discovery
@@ -433,22 +449,12 @@ def explore(seed, max_seeds=1000, max_depth=16, namer=prime_namer):
 
     Keeps the first max_seeds distinct clusters in breadth-first order,
     none deeper than max_depth.  Clusters and variables are identified by
-    g-vectors, so the walk terminates on finite exchange graphs.
-    A newly met variable is named ``namer(seed, k)``, with primes appended
-    until the name differs from every name the exploration has given;
-    variables met again keep their first name.  ``truncated`` is
-    set when the seed budget bites or a node at the depth cap is left
+    g-vectors, so the walk terminates on finite exchange graphs; variables
+    are named by ``namer`` as ``_walk`` names them.  ``truncated`` is set
+    when the seed budget bites or a node at the depth cap is left
     unexpanded.
     """
-    names, taken = dict(zip(seed.gvectors, seed.names)), set(seed.names)
-
-    def step(s, k):
-        g = s._partner_gvector(k)
-        if g not in names:
-            names[g] = _fresh(namer(s, k), taken)
-        return s.mutated(k, names[g])
-
-    walk = _walk(seed, max_depth, step)
+    walk = _walk(seed, max_depth, namer)
     kept = list(islice(walk, _seed_budget(max_seeds, max_depth)))
     truncated = (next(walk, None) is not None
                  or any(depth == max_depth for _, depth in kept))

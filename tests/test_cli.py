@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from clusterwp import seeds as seeds_module
 from clusterwp.catalog import catalog
 from clusterwp.cli import main
 from clusterwp.forms import parse_form_file, reduce_to_chart, wp_form
@@ -627,6 +628,24 @@ def test_deep_file_seed_needs_budget(capsys, tmp_path):
     assert out.splitlines()[-1] == "verdict deep-relative"
 
 
+def test_deep_file_seed_does_no_exchange_divisions(capsys, tmp_path, monkeypatch):
+    # deep reads names and relations only, never an expansion
+    seed = tmp_path / "m.seed"
+    seed.write_text("rank 3\nmutable 3\nnames a b c\n"
+                    "row 0 -2 2\nrow 2 0 -2\nrow -2 2 0\n")
+    point = tmp_path / "p.point"
+    point.write_text("a = 0\nb = 0\nc = 0\n")
+    calls = []
+    partner = seeds_module._exchange_partner
+    monkeypatch.setattr(seeds_module, "_exchange_partner",
+                        lambda *args: calls.append(args[1]) or partner(*args))
+    rc, out, _ = run(capsys, "deep", str(seed), "--point", str(point),
+                     "--max-seeds", "120")
+    assert (rc, calls) == (1, [])
+    assert len(out.splitlines()) == 121
+    assert out.splitlines()[-1] == "verdict inconclusive"
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["acyclic", "markov", "--search", "-1"], "--search"),
     (["regularize", "a3", "--pattern", "1,3", "--search", "-2"], "--search"),
@@ -710,6 +729,25 @@ def test_tangent_over_fresh_partners(capsys, twins, tmp_path):
     point.write_text("x = 1\nx' = 1\nx'' = 2\nx''' = 2\n")
     rc, out, err = run(capsys, "tangent", twins, "--point", str(point))
     assert (rc, out, err) == (0, "2\n", "")
+
+
+def test_regularize_search_names_variables_as_explore_does(capsys, tmp_path):
+    # on this A_3 chain a seed-scope name for the partner of x' would be
+    # x'', which explore gives to the partner of x
+    path = tmp_path / "t3.seed"
+    path.write_text("rank 3\nmutable 3\nnames x x' y\n"
+                    "row 0 1 0\nrow -1 0 1\nrow 0 -1 0\n")
+    rc, out, err = run(capsys, "regularize", str(path), "--pattern", "1,2",
+                       "--search", "50")
+    assert (rc, err) == (0, "")
+    names = [line.split(None, 1)[1] for line in out.splitlines()
+             if line.startswith("names ")]
+    assert names == ["x x''' y''"]
+    rc, out, _ = run(capsys, "explore", str(path))
+    assert rc == 0
+    clusters = [line.split(": ", 1)[1] for line in out.splitlines()
+                if line.startswith("cluster ")]
+    assert names[0] in clusters
 
 
 def test_invariance_over_fresh_names(capsys, twins):

@@ -324,10 +324,11 @@ def test_search_markov_all_vanish_fails():
 
 def test_search_respects_depth_and_seed_budget():
     # without a namer the a3 chart where {1, 2} can vanish is the eighth
-    # distinct cluster in breadth-first order, at depth 2
+    # distinct cluster in breadth-first order, at depth 2, named as explore
+    # names it: x15' is already the partner of x15 in the first chart
     oracle = constant_vanishing_oracle({1, 2})
     seed, form = find_regularizing_seed(A3, oracle, max_depth=2, max_seeds=8)
-    assert seed.names == ("x13", "x14'", "x15'")
+    assert seed.names == ("x13", "x14'", "x15''")
     assert forms_equal(reduce_to_chart(form, seed), wp_form(seed))
     with pytest.raises(NotFoundWithinBudget, match="depth <= 1"):
         find_regularizing_seed(A3, oracle, max_depth=1, max_seeds=100)

@@ -487,8 +487,12 @@ def test_exchange_divisions_once_per_variable(monkeypatch):
     monkeypatch.setattr(seeds_module, "_exchange_partner",
                         lambda *args: calls.append(args[1]) or partner(*args))
     e = explore(a3_seed())
-    assert len(calls) == 6          # once per non-initial variable
     e.relations()
+    assert e.n_variables == 9
+    assert len(calls) == 0          # the walk, relations and names divide nothing
+    assert len(e.variables) == 9
+    assert len(calls) == 6          # once per non-initial variable, on first read
+    assert len(e.variables) == 9
     assert len(calls) == 6
 
 
@@ -515,10 +519,13 @@ def test_mutated_does_no_laurent_arithmetic(monkeypatch):
 def expansion_walk(seed, max_depth):
     """Reference walk: every cluster carries its variables' expansions in
     the start chart and is keyed by their sorted canonical keys, as before
-    clusters were keyed by g-vectors.  Yields (names, rows, depth) in the
-    breadth-first discovery order of ``seeds._walk``."""
+    clusters were keyed by g-vectors.  A new expansion is named once: the
+    prime-toggle of the name it replaces, primed until no earlier expansion
+    has the name.  Yields (names, rows, depth) in the breadth-first
+    discovery order of ``seeds._walk``."""
     table = seed.chart()
     start = tuple(LaurentPoly.variable(table, nm) for nm in seed.names)
+    names = {e.canonical_key(): nm for e, nm in zip(start, seed.names)}
 
     def key(expansions):
         return tuple(sorted(e.canonical_key() for e in expansions))
@@ -527,7 +534,7 @@ def expansion_walk(seed, max_depth):
     queue = deque([(seed.matrix, seed.names, start, 0)])
     yield seed.names, seed.matrix.rows, 0
     while queue:
-        matrix, names, expansions, depth = queue.popleft()
+        matrix, t_names, expansions, depth = queue.popleft()
         if depth == max_depth:
             continue
         for k in range(1, matrix.m + 1):
@@ -536,13 +543,20 @@ def expansion_walk(seed, max_depth):
             if key(new) in seen:
                 continue
             seen.add(key(new))
-            t_names = names[:k - 1] + (prime_toggle(names[k - 1]),) + names[k:]
-            t_matrix = mutate_matrix(matrix, k)
-            queue.append((t_matrix, t_names, tuple(new), depth + 1))
-            yield t_names, t_matrix.rows, depth + 1
+            if new[k - 1].canonical_key() not in names:
+                name = prime_toggle(t_names[k - 1])
+                while name in names.values():
+                    name += "'"
+                names[new[k - 1].canonical_key()] = name
+            u_matrix = mutate_matrix(matrix, k)
+            u_names = tuple(names[e.canonical_key()] for e in new)
+            queue.append((u_matrix, u_names, tuple(new), depth + 1))
+            yield u_names, u_matrix.rows, depth + 1
 
 
 def assert_walks_agree(seed, max_depth=16, limit=None):
+    """The g-vector walk discovers the clusters of ``expansion_walk`` in
+    the same order, with the same matrices and the same names."""
     by_g = [(s.names, s.matrix.rows, depth)
             for s, depth in islice(_walk(seed, max_depth), limit)]
     assert by_g == list(islice(expansion_walk(seed, max_depth), limit))
