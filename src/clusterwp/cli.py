@@ -15,6 +15,7 @@ deterministic: same invocation, same bytes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .catalog import CATALOG_KEYS, catalog
@@ -437,8 +438,18 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    try:
+        rc = _run(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # buffered output to a closed pipe fails here
+        return rc
+    except BrokenPipeError:     # exit as SIGPIPE would; shutdown flushes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
+def _run(args):
     try:
         for budget in ("max_seeds", "max_depth", "search"):
             if getattr(args, budget, None) is not None and getattr(args, budget) < 0:

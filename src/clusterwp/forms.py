@@ -213,20 +213,28 @@ def form_difference(a, b):
 def check_invariance(seed, depth):
     """Verify, for every mutation sequence of length 1..depth, that the
     mutated chart's form pulls back to this chart's form.  Returns
-    [(sequence, passed)] in lexicographic order by depth."""
+    [(sequence, passed)] in lexicographic order by depth.  Each prefix's
+    form is pushed forward one edge and compared with the next chart's own
+    form; below a passing prefix that is memoized by edge (whole seed, k)."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    base = wp_form(seed)
-    m = seed.matrix.m
-    charts = {(): seed}     # each prefix's chart, mutated once
+    level = {(): (seed, wp_form(seed), True)}
+    edges = {}
     report = []
     for d in range(1, depth + 1):
-        for ks in itertools.product(range(1, m + 1), repeat=d):
-            charts[ks] = charts[ks[:-1]].mutated(ks[-1])
-            form = wp_form(charts[ks])
-            for t in range(d, 0, -1):
-                form = pullback(form, charts[ks[:t - 1]], ks[t - 1])
-            report.append((ks, forms_equal(form, base)))
+        parents, level = level, {}
+        for ks in itertools.product(range(1, seed.matrix.m + 1), repeat=d):
+            s, form, parent_ok = parents[ks[:-1]]
+            k = ks[-1]
+            t = s.mutated(k)
+            step = edges.get((s, k)) if parent_ok else None
+            if step is None:
+                pushed, own = pullback(form, t, k), wp_form(t)
+                step = (own, True) if forms_equal(pushed, own) else (pushed, False)
+                if parent_ok:
+                    edges[(s, k)] = step
+            level[ks] = (t, *step)
+            report.append((ks, step[1]))
     return report
 
 

@@ -10,7 +10,10 @@ CLI tests mostly assert plumbing, exit codes, and stable formatting.
 
 import contextlib
 import io
+import itertools
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -22,6 +25,9 @@ from clusterwp.catalog import catalog
 from clusterwp.cli import main
 from clusterwp.forms import parse_form_file, reduce_to_chart, wp_form
 from clusterwp.seeds import emit_seed_file, is_acyclic, parse_seed_file
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -399,6 +405,34 @@ def test_invariance_rejects_zero_depth(capsys):
     rc, _, err = run(capsys, "invariance", "sl2", "--depth", "0")
     assert rc == 2
     assert "at least 1" in err
+
+
+def test_invariance_markov_depth_six(capsys):
+    # every exchange of the Markov quiver preserves the form (GSV), so all
+    # 3 + 9 + ... + 729 sequences pass, listed by depth, then lexicographically
+    rc, out, err = run(capsys, "invariance", "markov", "--depth", "6")
+    sequences = [ks for d in range(1, 7)
+                 for ks in itertools.product("123", repeat=d)]
+    assert (rc, err, len(sequences)) == (0, "", 1092)
+    assert out == "".join(f"{','.join(ks)} pass\n" for ks in sequences) + \
+        "all 1092 sequences pass\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["explore", "a3"],
+                                  ["invariance", "a3", "--depth", "3"]],
+                         ids=["explore", "invariance"])
+def test_closed_stdout_exits_quietly(argv, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "clusterwp", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()     # the reader goes away before the first line
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Chart 2-forms, symbolic reduction, pullback, invariance, grading, files."""
 
+import itertools
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clusterwp import forms as forms_module
+from clusterwp.catalog import CATALOG_KEYS, catalog
 from clusterwp.exprs import parse_expression
 from clusterwp.forms import (
     ChartForm,
@@ -20,7 +26,7 @@ from clusterwp.forms import (
     wp_form,
 )
 from clusterwp.laurent import Inhomogeneous, LaurentPoly, RationalFn, VarTable
-from clusterwp.seeds import ExchangeMatrix, Seed
+from clusterwp.seeds import ExchangeMatrix, Seed, parse_seed_file
 
 SL2 = Seed.initial(ExchangeMatrix(1, 3, ((0, 1, 1),)), ("x", "c1", "c2"))
 A3 = Seed.initial(
@@ -28,6 +34,7 @@ A3 = Seed.initial(
 AFFINE = Seed.initial(ExchangeMatrix(2, 2, ((0, 2), (-2, 0))), ("x0", "x1"))
 MARKOV = Seed.initial(
     ExchangeMatrix(3, 3, ((0, 2, -2), (-2, 0, 2), (2, -2, 0))), ("x1", "x2", "x3"))
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def rf(seed_or_table, text):
@@ -306,8 +313,8 @@ def test_check_invariance_mutates_each_prefix_once(monkeypatch):
     assert len(calls) == 3 + 9 + 27
 
 
-# Seeds whose wp_form does not glue across every mutation; these pin the
-# failing verdicts of the chained pullbacks.
+# Seeds whose wp_form does not glue across every mutation; these pin
+# failing verdicts, which the chained reference below agrees with.
 C3 = Seed.initial(
     ExchangeMatrix(3, 3, ((0, 2, 0), (-1, 0, 1), (0, -1, 0))), ("a", "b", "c"))
 M2 = Seed.initial(ExchangeMatrix(2, 3, ((0, 2, 1), (-1, 0, 1))), ("a", "b", "c"))
@@ -340,6 +347,86 @@ def test_check_invariance_affine_depth2():
 def test_check_invariance_markov_depth1():
     report = check_invariance(MARKOV, 1)
     assert report == [((1,), True), ((2,), True), ((3,), True)]
+
+
+def chained_invariance(seed, depth):
+    """Reference verdicts: pull each sequence's form back through its whole
+    chain of charts and compare with the base form."""
+    base = wp_form(seed)
+    charts = {(): seed}
+    report = []
+    for d in range(1, depth + 1):
+        for ks in itertools.product(range(1, seed.matrix.m + 1), repeat=d):
+            charts[ks] = charts[ks[:-1]].mutated(ks[-1])
+            form = wp_form(charts[ks])
+            for t in range(d, 0, -1):
+                form = pullback(form, charts[ks[:t - 1]], ks[t - 1])
+            report.append((ks, forms_equal(form, base)))
+    return report
+
+
+def golden_seed(name):
+    return parse_seed_file((GOLDEN / f"{name}.seed").read_text(), f"{name}.seed")
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_check_invariance_matches_chained_catalog(key):
+    seed = catalog(key).seed
+    assert check_invariance(seed, 3) == chained_invariance(seed, 3)
+
+
+@pytest.mark.parametrize("name", ["d4", "g2-frozen"])
+def test_check_invariance_matches_chained_files(name):
+    seed = golden_seed(name)
+    assert check_invariance(seed, 3) == chained_invariance(seed, 3)
+
+
+@pytest.mark.parametrize("seed", [C3, M2], ids=["C3", "M2"])
+def test_check_invariance_matches_chained_failing(seed):
+    report = check_invariance(seed, 3)
+    assert report == chained_invariance(seed, 3)
+    assert not all(ok for _, ok in report)
+
+
+@st.composite
+def small_seeds(draw):
+    """B = S D on the mutable block (S skew-symmetric, D a positive
+    diagonal), entries in -2..2, with or without one frozen column."""
+    m = draw(st.integers(1, 3))
+    frozen = draw(st.integers(0, 1))
+    d = [draw(st.integers(1, 2)) for _ in range(m)]
+    rows = [[0] * (m + frozen) for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            s = draw(st.integers(-1, 1))
+            rows[i][j], rows[j][i] = s * d[j], -s * d[i]
+        for j in range(m, m + frozen):
+            rows[i][j] = draw(st.integers(-2, 2))
+    matrix = ExchangeMatrix(m, m + frozen, tuple(tuple(row) for row in rows))
+    return Seed.initial(matrix, [f"v{i}" for i in range(m + frozen)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_seeds())
+def test_check_invariance_matches_chained_random(seed):
+    assert check_invariance(seed, 2) == chained_invariance(seed, 2)
+
+
+@pytest.mark.parametrize("seed,depth,pullbacks", [
+    (A3, 3, 27), (A3, 6, 156), (MARKOV, 6, 282)], ids=["a3-3", "a3-6", "markov-6"])
+def test_check_invariance_pulls_back_once_per_edge(monkeypatch, seed, depth,
+                                                   pullbacks):
+    calls = []
+    counted_pullback = forms_module.pullback
+
+    def counted(form, target, k):
+        calls.append(k)
+        return counted_pullback(form, target, k)
+
+    monkeypatch.setattr(forms_module, "pullback", counted)
+    report = check_invariance(seed, depth)
+    assert all(ok for _, ok in report)
+    assert len(calls) == pullbacks
 
 
 # ---------------------------------------------------------------------------

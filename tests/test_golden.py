@@ -3,11 +3,12 @@
 ``tests/golden/*.out`` hold the exact stdout of the walker commands
 (``explore``, ``acyclic --search``, ``regularize --search``; ``explore`` on
 a G2 seed with two frozen columns pins the g-vector keys of a
-skew-symmetrizable seed with coefficients), of a failing
-``invariance`` run, of the commands that name new variables (``present``,
-``mutate``, ``regularize`` without a search, ``tangent`` over a catalog
-presentation) and of ``scripts/tour.py``, which calls every walker
-consumer.  A refactor of the walk, of the naming or of the form reduction
+skew-symmetrizable seed with coefficients), of failing ``invariance``
+runs (``c3.seed`` at depths 3 and 4, ``m2.seed`` at depth 4; the depth-4
+transcripts were captured from the chained pullbacks), of the commands
+that name new variables (``present``, ``mutate``, ``regularize`` without a
+search, ``tangent`` over a catalog presentation) and of
+``scripts/tour.py``, which calls every walker consumer.  A refactor of the walk, of the naming or of the form reduction
 must reproduce them byte for byte; they are never regenerated from the
 code under test.  ``@name`` in an argument list names a seed or point
 file in the golden directory.
@@ -47,6 +48,8 @@ CASES = [
     ("regularize-a3-file-12-search50", 0,
      ["regularize", "@a3.seed", "--pattern", "1,2", "--search", "50"]),
     ("invariance-c3-depth3", 1, ["invariance", "@c3.seed", "--depth", "3"]),
+    ("invariance-c3-depth4", 1, ["invariance", "@c3.seed", "--depth", "4"]),
+    ("invariance-m2-depth4", 1, ["invariance", "@m2.seed", "--depth", "4"]),
     ("present-sl2", 0, ["present", "sl2"]),
     ("present-a3", 0, ["present", "a3"]),
     ("present-affine-a11", 0, ["present", "affine-a11"]),
