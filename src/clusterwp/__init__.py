@@ -8,7 +8,7 @@ tangent-space dimensions — all over Q(i), with no floating point.
 import types as _types
 
 from clusterwp.catalog import CATALOG_KEYS, CatalogEntry, catalog
-from clusterwp.exact import ExactMatrix, GaussianRational, format_gaussian, parse_gaussian, rank
+from clusterwp.exact import GaussianRational, format_gaussian, parse_gaussian, rank
 from clusterwp.exprs import ExprError, parse_expression
 from clusterwp.forms import (
     ChartForm,

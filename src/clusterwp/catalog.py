@@ -175,17 +175,12 @@ x1*x2 ; x1 ; x2
 """
 
 
-def _gr(value):
-    return GaussianRational.of(value)
-
-
 def _build_sl2():
     seed = Seed.initial(ExchangeMatrix(1, 3, ((0, 1, 1),)), ("x", "c1", "c2"))
     exploration = explore(seed, max_seeds=8, max_depth=4)
     presentation = acyclic_presentation(seed)
-    deep = AlgebraPoint(
-        {"x": _gr(0), "x'": _gr(0), "c1": _gr(2), "c2": _gr(Fraction(-1, 2))},
-        presentation)
+    deep = AlgebraPoint({"x": 0, "x'": 0, "c1": 2, "c2": Fraction(-1, 2)},
+                        presentation)
     regular = parse_form_file(_SL2_REGULAR, seed, "<catalog:sl2>")
     return CatalogEntry(
         key="sl2",
@@ -207,13 +202,12 @@ def _build_a3():
     exploration = explore(seed, max_seeds=100, max_depth=6, namer=hexagon_namer)
     presentation = acyclic_presentation(seed, hexagon_namer)
     deep_values = {
-        "x13": _gr(0), "x14": _gr(-1), "x15": _gr(0),
-        "x24": _gr(0), "x25": _gr(-1), "x26": _gr(0),
-        "x35": _gr(0), "x36": _gr(-1), "x46": _gr(0),
+        "x13": 0, "x14": -1, "x15": 0,
+        "x24": 0, "x25": -1, "x26": 0,
+        "x35": 0, "x36": -1, "x46": 0,
     }
     deep = AlgebraPoint(deep_values, exploration)
-    generic = AlgebraPoint({"x13": _gr(1), "x14": _gr(1), "x15": _gr(1)},
-                           exploration)
+    generic = AlgebraPoint({"x13": 1, "x14": 1, "x15": 1}, exploration)
     regular = parse_form_file(_A3_REGULAR, seed, "<catalog:a3>")
     return CatalogEntry(
         key="a3",
@@ -238,7 +232,7 @@ def _staircase_point(j, lo, hi, context):
         elif r == 2:
             v = GaussianRational(0, -1)
         else:
-            v = _gr(0)
+            v = 0
         values[_affine_label(k)] = v
     return AlgebraPoint(values, context)
 
@@ -267,8 +261,7 @@ def _build_markov():
     matrix = ExchangeMatrix(3, 3, ((0, 2, -2), (-2, 0, 2), (2, -2, 0)))
     seed = Seed.initial(matrix, ("x1", "x2", "x3"))
     exploration = explore(seed, max_seeds=100, max_depth=2)
-    origin = AlgebraPoint({"x1": _gr(0), "x2": _gr(0), "x3": _gr(0)},
-                          exploration)
+    origin = AlgebraPoint({"x1": 0, "x2": 0, "x3": 0}, exploration)
     return CatalogEntry(
         key="markov",
         description="the cyclic rank-3 chart with doubled exchanges; no "

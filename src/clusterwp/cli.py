@@ -21,7 +21,6 @@ import sys
 from .catalog import CATALOG_KEYS, catalog
 from .exact import format_gaussian
 from .forms import (
-    FormFileError,
     check_invariance,
     emit_form_file,
     form_degree,
@@ -35,7 +34,6 @@ from .laurent import Inhomogeneous
 from .regularity import (
     AlgebraPoint,
     HypothesisViolated,
-    PointFileError,
     VanishingPattern,
     constant_vanishing_oracle,
     deep_witness,
@@ -48,9 +46,9 @@ from .regularity import (
     vanishing_pattern,
 )
 from .seeds import (
+    InputFileError,
     NotAcyclic,
     NotFoundWithinBudget,
-    SeedFileError,
     acyclic_presentation,
     emit_seed_file,
     explore,
@@ -458,7 +456,7 @@ def _run(args):
     except NotAcyclic as exc:   # present and tangent need an acyclic seed
         print(f"not acyclic: cycle {_cycle_text(exc.cycle)}")
         return 1
-    except (SeedFileError, FormFileError, PointFileError, _UsageError) as exc:
+    except (InputFileError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "ExactMatrix",
     "GaussianParseError",
     "GaussianRational",
     "format_gaussian",
@@ -212,48 +211,18 @@ def format_gaussian(value: GaussianRational) -> str:
 
 
 # ---------------------------------------------------------------------------
-# exact matrices and rank
+# exact rank
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Immutable dense matrix over Q(i), row-major, 0-indexed accessors."""
-
-    nrows: int
-    ncols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if len(self.entries) != self.nrows * self.ncols:
-            raise ValueError("entry count does not match matrix shape")
-
-    @classmethod
-    def from_rows(cls, rows) -> "ExactMatrix":
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        flat = tuple(GaussianRational.of(x) for r in rows for x in r)
-        return cls(nrows, ncols, flat)
-
-    def entry(self, i: int, j: int) -> GaussianRational:
-        return self.entries[i * self.ncols + j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.ncols:(i + 1) * self.ncols]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_rows(
-            [[self.entry(i, j) for i in range(self.nrows)] for j in range(self.ncols)]
-        )
-
-
-def rank(matrix: ExactMatrix) -> int:
-    """Rank over Q(i) by Gaussian elimination; exact, no pivot thresholds."""
-    rows = [list(matrix.row(i)) for i in range(matrix.nrows)]
+def rank(rows) -> int:
+    """Rank over Q(i) of a sequence of rows of scalars, by Gaussian
+    elimination; exact, no pivot thresholds."""
+    rows = [[GaussianRational.of(x) for x in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged rows")
     r = 0
-    for col in range(matrix.ncols):
+    for col in range(ncols):
         pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue

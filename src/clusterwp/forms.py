@@ -24,15 +24,10 @@ import re
 
 from .exprs import ExprError, parse_expression
 from .laurent import LaurentError, LaurentPoly, NotLaurent, RationalFn, VarTable
-from .seeds import _exchange_partner, mutate_matrix
+from .seeds import InputFileError, _content_lines, _exchange_partner, mutate_matrix
 
 
-class FormFileError(ValueError):
-    def __init__(self, filename, line, reason):
-        self.filename = filename
-        self.line = line
-        self.reason = reason
-        super().__init__(f"{filename}:{line}: {reason}")
+FormFileError = InputFileError
 
 
 def _coefficient(value, table, what):
@@ -274,10 +269,7 @@ def parse_form_file(text, chart, filename="<input>"):
     chart_table = chart.chart()
     gen_lines = []
     term_lines = []
-    for no, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for no, stripped in _content_lines(text):
         first = stripped.split(None, 1)[0]
         if first == "gen":
             match = _GEN_RE.match(stripped)

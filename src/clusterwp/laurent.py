@@ -22,10 +22,9 @@ Representation choices that the rest of the package leans on:
 from __future__ import annotations
 
 import re as _re
-from fractions import Fraction
 from typing import Iterator, Mapping
 
-from clusterwp.exact import GaussianRational
+from clusterwp.exact import GaussianRational, _coerce
 
 __all__ = [
     "DenominatorZero",
@@ -74,7 +73,7 @@ class UnboundVariable(EvaluationError):
     """A variable occurring in the expression has no assigned value."""
 
 
-_IDENT_RE = _re.compile(r"^[A-Za-z_][A-Za-z0-9_']*$")
+_IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_']*")   # applied with fullmatch
 
 
 class VarTable:
@@ -90,7 +89,7 @@ class VarTable:
         names = tuple(names)
         seen = set()
         for n in names:
-            if not _IDENT_RE.match(n):
+            if not _IDENT_RE.fullmatch(n):
                 raise ValueError(f"invalid variable name: {n!r}")
             if n == "i":
                 raise ValueError("variable name 'i' is reserved for the imaginary unit")
@@ -129,10 +128,6 @@ def _grlex(exps) -> tuple:
     return (sum(exps), exps)
 
 
-def _coerce_coeff(value) -> GaussianRational:
-    return GaussianRational.of(value)
-
-
 class LaurentPoly:
     """Sparse Laurent polynomial over Q(i) on a fixed VarTable."""
 
@@ -142,7 +137,7 @@ class LaurentPoly:
         width = len(table)
         clean = {}
         for exps, coeff in terms.items():
-            c = _coerce_coeff(coeff)
+            c = GaussianRational.of(coeff)
             if not c:
                 continue
             t = tuple(exps)
@@ -234,8 +229,8 @@ class LaurentPoly:
                 f"variable tables differ: {self.table!r} vs {other.table!r}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = LaurentPoly.constant(self.table, other)
+        if (c := _coerce(other)) is not None:
+            other = LaurentPoly.constant(self.table, c)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._require_same(other)
@@ -248,7 +243,9 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, LaurentPoly) else -_coerce_coeff(other))
+        if not isinstance(other, LaurentPoly):
+            other = GaussianRational.of(other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -257,8 +254,7 @@ class LaurentPoly:
         return LaurentPoly(self.table, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = _coerce_coeff(other)
+        if (c := _coerce(other)) is not None:
             return LaurentPoly(self.table, {e: v * c for e, v in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -295,8 +291,8 @@ class LaurentPoly:
         return result
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self * _coerce_coeff(other).inverse()
+        if (c := _coerce(other)) is not None:
+            return self * c.inverse()
         if isinstance(other, LaurentPoly):
             return RationalFn(self, other)
         return NotImplemented
@@ -376,8 +372,8 @@ class LaurentPoly:
         Laurent ring is equivalent to divisibility of the content-free
         parts, because a content-free polynomial has no variable factors.
         """
-        if isinstance(den, (int, Fraction, GaussianRational)):
-            den = LaurentPoly.constant(self.table, den)
+        if (c := _coerce(den)) is not None:
+            den = LaurentPoly.constant(self.table, c)
         self._require_same(den)
         if den.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -439,9 +435,9 @@ class LaurentPoly:
             mono = "*".join(factors)
             if not mono:
                 parts.append(_gaussian_expr(c))
-            elif c == GaussianRational.of(1):
+            elif c == 1:
                 parts.append(mono)
-            elif c == GaussianRational.of(-1):
+            elif c == -1:
                 parts.append(f"-{mono}")
             elif not c.im:
                 parts.append(f"{c.re}*{mono}")
@@ -489,8 +485,8 @@ class RationalFn:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = 1):
-        if isinstance(den, (int, Fraction, GaussianRational)):
-            den = LaurentPoly.constant(num.table, den)
+        if (c := _coerce(den)) is not None:
+            den = LaurentPoly.constant(num.table, c)
         num._require_same(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
@@ -503,7 +499,7 @@ class RationalFn:
                 den = den.shifted(neg)
                 num = num.shifted(neg)
             lead = den.terms[den.leading_exponents()]
-            if lead != GaussianRational.of(1):
+            if lead != 1:
                 inv = lead.inverse()
                 den = den * inv
                 num = num * inv
@@ -541,8 +537,8 @@ class RationalFn:
             return value
         if isinstance(value, LaurentPoly):
             return value.as_rational()
-        if isinstance(value, (int, Fraction, GaussianRational)):
-            return RationalFn.constant(table, value)
+        if (c := _coerce(value)) is not None:
+            return RationalFn.constant(table, c)
         return None
 
     def __add__(self, other):

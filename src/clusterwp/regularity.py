@@ -10,24 +10,18 @@ whenever no two vanishing variables are exchange-adjacent.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
-from .exact import (
-    ExactMatrix,
-    GaussianParseError,
-    GaussianRational,
-    parse_gaussian,
-    rank,
-)
+from .exact import GaussianParseError, GaussianRational, parse_gaussian, rank
 from .forms import SymbolicForm, wp_form
 from .laurent import LaurentPoly, RationalFn, VarTable, _IDENT_RE
 from .seeds import (
-    Exploration,
+    InputFileError,
     NotFoundWithinBudget,
     Presentation,
     Seed,
+    _content_lines,
     _exchange_partner,
     _fresh,
     _seed_budget,
@@ -375,11 +369,9 @@ def tangent_dimension(presentation, point):
     if issues:
         raise ValueError(f"not a point of the algebra: {issues[0]}")
     a = point.assignment
-    rows = []
-    for rel in presentation.relations:
-        rows.append(tuple(rel.partial(nm).evaluate(a) for nm in names))
-    jac = ExactMatrix.from_rows(rows)
-    return len(names) - rank(jac)
+    jacobian = [[rel.partial(nm).evaluate(a) for nm in names]
+                for rel in presentation.relations]
+    return len(names) - rank(jacobian)
 
 
 @dataclass(frozen=True)
@@ -428,29 +420,21 @@ def deep_witness(point, exploration):
 # point files
 # ---------------------------------------------------------------------------
 
-class PointFileError(ValueError):
-    def __init__(self, filename, line, reason):
-        self.filename = filename
-        self.line = line
-        self.reason = reason
-        super().__init__(f"{filename}:{line}: {reason}")
+PointFileError = InputFileError
 
 
 def parse_point_file(text, filename="<input>"):
     """Parse lines ``<name> = <gaussian-rational-literal>`` into an
     assignment dict.  ``#`` starts a comment."""
     values = {}
-    for no, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
+    for no, stripped in _content_lines(text):
         if "=" not in stripped:
             raise PointFileError(filename, no,
                                  "expected '<name> = <value>'")
         name, _, literal = stripped.partition("=")
         name = name.strip()
         literal = literal.strip()
-        if not _IDENT_RE.match(name) or name == "i":
+        if not _IDENT_RE.fullmatch(name) or name == "i":
             raise PointFileError(filename, no, f"bad variable name {name!r}")
         if name in values:
             raise PointFileError(filename, no, f"duplicate assignment to {name}")

@@ -465,7 +465,9 @@ def explore(seed, max_seeds=1000, max_depth=16, namer=prime_namer):
 # seed files
 # ---------------------------------------------------------------------------
 
-class SeedFileError(ValueError):
+class InputFileError(ValueError):
+    """A seed, form or point file is malformed at ``filename:line``."""
+
     def __init__(self, filename, line, reason):
         self.filename = filename
         self.line = line
@@ -473,15 +475,16 @@ class SeedFileError(ValueError):
         super().__init__(f"{filename}:{line}: {reason}")
 
 
-def _seed_file_items(text):
-    items = []
-    last = 1
+SeedFileError = InputFileError
+
+
+def _content_lines(text):
+    """``(line number, text)`` for each line not blank once its ``#``
+    comment is cut; the reader of every input file format."""
     for no, raw in enumerate(text.splitlines(), 1):
-        last = no
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
-            items.append((no, stripped.split()))
-    return items, last
+            yield no, stripped
 
 
 def parse_seed_file(text, filename="<input>"):
@@ -494,7 +497,8 @@ def parse_seed_file(text, filename="<input>"):
 
     ``#`` starts a comment.  Errors carry the file name and line number.
     """
-    items, last_line = _seed_file_items(text)
+    items = [(no, line.split()) for no, line in _content_lines(text)]
+    last_line = len(text.splitlines()) or 1
     cursor = 0
 
     def take(keyword):
@@ -555,7 +559,7 @@ def parse_seed_file(text, filename="<input>"):
 def _is_int(token):
     if token.startswith(("-", "+")):
         token = token[1:]
-    return token.isdigit()
+    return token.isdecimal()
 
 
 def emit_seed_file(seed):

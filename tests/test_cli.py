@@ -730,6 +730,19 @@ def test_point_file_diagnostics_carry_location(capsys, tmp_path):
     assert f"{path}:1:" in err
 
 
+@pytest.mark.parametrize("text, tail", [
+    ("rank \u00b2\nmutable 1\nnames x\nrow 0\n", ":1: rank must be a single integer"),
+    ("rank 2\nmutable 1\nnames x c\nrow 0 \u00b9\n", ":4: '\u00b9' is not an integer"),
+], ids=["rank", "row"])
+def test_seed_file_superscript_digit_is_diagnosed(capsys, tmp_path, text, tail):
+    # str.isdigit accepts superscripts, which int() rejects
+    path = tmp_path / "sup.seed"
+    path.write_text(text, encoding="utf-8")
+    rc, out, err = run(capsys, "wp", str(path))
+    assert (rc, out) == (2, "")
+    assert err.count("\n") == 1 and err.endswith(tail + "\n")
+
+
 # ---------------------------------------------------------------------------
 # fresh names: a seed file whose second name is the prime-toggle of its first
 

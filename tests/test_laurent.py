@@ -48,6 +48,7 @@ def test_vartable_basics():
     ("x-1",),            # hyphen not allowed
     ("i",),              # reserved for the imaginary unit
     ("",),
+    ("x\n",),           # a final newline is not part of a name
 ])
 def test_vartable_rejects(names):
     with pytest.raises(ValueError):

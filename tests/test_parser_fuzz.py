@@ -3,9 +3,11 @@
 Each input is line soup built from the parser's own grammar: its keywords,
 ``gen``, ``;``, ``#``, parentheses, ``^-``, primed names and one-digit
 numbers, both in the shape of a valid line and shuffled.  Whatever the
-text, a parser returns or raises its own module's ``*FileError`` with a
-one-line message; nothing else may escape.  Exponents stay one digit: the
-size of exponent literals is not bounded yet.
+text, a parser returns or raises the shared file error (``SeedFileError``,
+``FormFileError`` and ``PointFileError`` name one class) with a one-line
+message; nothing else may escape.  Exponents stay one digit: the size of
+exponent literals is not bounded yet.  A last test pins the line numbers
+that the shared reader gives past comments, blank lines and CRLF endings.
 """
 
 import pytest
@@ -20,7 +22,7 @@ SL2 = Seed.initial(ExchangeMatrix(1, 3, ((0, 1, 1),)), ("x", "c1", "c2"))
 A3 = Seed.initial(ExchangeMatrix(3, 3, ((0, 1, 0), (-1, 0, 1), (0, -1, 0))),
                   ("x13", "x14", "x15"))
 
-DIGITS = tuple("0123456789")
+DIGITS = tuple("0123456789") + ("\u00b2", "\u0661")   # superscript two, Arabic-Indic one
 NAMES = ("x", "x'", "x''", "c1", "c2", "x13", "x14", "x15", "x24", "x24'",
          "g", "g'", "i", "1x", "x-y")
 OPERATORS = ("(", ")", "^", "^-", "-", "+", "*", "/")
@@ -86,6 +88,7 @@ def parses_or_raises(error, parse, *args):
 @given(seed_texts)
 @example("rank 2\nmutable 2\nnames x x'\nrow 0 1\nrow -1 0")
 @example("rank 9\nmutable 9\nnames x")
+@example("rank \u00b2\nmutable 1\nnames x\nrow 0")
 def test_seed_file_parser_fuzz(text):
     parses_or_raises(SeedFileError, parse_seed_file, text, "fuzz.seed")
 
@@ -105,3 +108,17 @@ def test_form_file_parser_fuzz(chart, text):
 @example("x = 1\nx' = 1/0")
 def test_point_file_parser_fuzz(text):
     parses_or_raises(PointFileError, parse_point_file, text, "fuzz.point")
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_seed_file, "# A_1\n\nrank 1\r\nrank 1\n"),
+    (lambda text, filename: parse_form_file(text, SL2, filename),
+     "# sl2\n\n1 ; x ; c1\r\npfft\n"),
+    (parse_point_file, "# origin\n\nx = 0\r\nx := 1\n"),
+], ids=["seed", "form", "point"])
+def test_file_errors_count_comment_blank_and_crlf_lines(parse, text):
+    with pytest.raises(SeedFileError) as exc:
+        parse(text, "f")
+    assert (exc.value.filename, exc.value.line) == ("f", 4)
+    assert str(exc.value) == f"f:4: {exc.value.reason}"
+    assert SeedFileError is FormFileError is PointFileError
