@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Micro-benchmarks of the exact kernels under every verdict.
+
+Prints microseconds per call, the least over ``repeat`` timings, for
+``GaussianRational`` ``*``, ``+`` and ``inverse`` on integral and
+non-integral values, and for ``LaurentPoly`` ``*`` and ``divide_exact`` on
+the Laurent expansions of a Markov exploration of 60 seeds (those of
+``clusterwp explore markov --max-seeds 60``): each product multiplies two
+expansions met one after the other, each division undoes one product.
+
+Usage:  python3 scripts/microbench.py [--repeat N]
+"""
+
+import argparse
+import operator
+import time
+from fractions import Fraction
+from functools import partial
+
+from clusterwp import GaussianRational, catalog, explore
+
+G = GaussianRational
+
+
+def per_call_us(calls, repeat):
+    """Least time over ``repeat`` passes of the zero-argument ``calls``,
+    in microseconds per call."""
+    def one_pass():
+        start = time.perf_counter()
+        for call in calls:
+            call()
+        return time.perf_counter() - start
+
+    return min(one_pass() for _ in range(repeat)) / len(calls) * 1e6
+
+
+def scalar_cases():
+    integral = [G(3, -2), G(-5, 7), G(12, 0), G(0, 1)]
+    fractional = [G(Fraction(1, 3), Fraction(-2, 5)), G(Fraction(-5, 6), Fraction(7, 4)),
+                  G(Fraction(9, 2)), G(Fraction(4, 9), 1)]
+    for kind, values in (("integral", integral), ("non-integral", fractional)):
+        pairs = [(x, y) for x in values for y in values] * 64
+        yield f"gaussian * {kind}", [partial(operator.mul, x, y) for x, y in pairs]
+        yield f"gaussian + {kind}", [partial(operator.add, x, y) for x, y in pairs]
+        yield f"gaussian inverse {kind}", [x.inverse for x, _ in pairs]
+
+
+def laurent_cases():
+    expansions = list(explore(catalog("markov").seed, max_seeds=60).variables.values())
+    pairs = list(zip(expansions, expansions[1:]))
+    yield "laurent * markov-60", [partial(operator.mul, p, q) for p, q in pairs]
+    yield "laurent divide_exact markov-60", [partial((p * q).divide_exact, q)
+                                             for p, q in pairs]
+
+
+def main(repeat=5):
+    for label, calls in [*scalar_cases(), *laurent_cases()]:
+        print(f"{label:34s} {per_call_us(calls, repeat):10.2f} us/call")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=5,
+                        help="timed passes per kernel; the least is printed")
+    args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    main(args.repeat)

@@ -1,17 +1,20 @@
 """Exact coefficient arithmetic over the Gaussian rationals Q(i).
 
 Everything downstream (Laurent polynomials, chart 2-forms, tangent-space
-ranks) bottoms out in field arithmetic here.  A value is a pair of stdlib
-``fractions.Fraction``s, so every operation is exact; there is no floating
-point anywhere in this package.  Q(i) is enough to express all constants
-the built-in examples need (integers, -1/2, the square roots of -1).
+ranks) bottoms out in field arithmetic here.  A value is a normalized
+integer triple: (a + b*i)/d with d > 0 and gcd(a, b, d) = 1, so equal
+values have equal triples, and an integral value (d = 1, by far the most
+common: every catalog expansion has integer coefficients) needs no gcd at
+all.  Every operation is exact; there is no floating point anywhere in this
+package.  Q(i) is enough to express all constants the built-in examples
+need (integers, -1/2, the square roots of -1).
 """
 
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "GaussianParseError",
@@ -34,70 +37,85 @@ def _frac(value) -> Fraction:
     raise TypeError(f"cannot treat {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """An element a + b*i of Q(i), with a, b normalized Fractions."""
+    """An element (a + b*i)/d of Q(i), kept as integers with d > 0 and
+    gcd(a, b, d) = 1; ``re`` and ``im`` are its parts as Fractions."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("_a", "_b", "_d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
+    def __init__(self, re=0, im=0):
+        re, im = _frac(re), _frac(im)
+        # with both parts in lowest terms, d = lcm of the denominators
+        # leaves gcd(a, b, d) = 1
+        q, s = re.denominator, im.denominator
+        d = lcm(q, s)
+        self._a, self._b, self._d = re.numerator * (d // q), im.numerator * (d // s), d
 
     @classmethod
     def of(cls, value) -> "GaussianRational":
         """Coerce an int, Fraction, or GaussianRational."""
-        if isinstance(value, GaussianRational):
-            return value
-        return cls(_frac(value))
+        z = _coerce(value)
+        if z is None:
+            raise TypeError(f"cannot treat {value!r} as an exact rational")
+        return z
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     @property
     def is_zero(self) -> bool:
         return not self
 
     def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
-        return NotImplemented
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         # agree with int/Fraction hashes on the real axis
-        return hash(self.re) if not self.im else hash((self.re, self.im))
+        return hash(self.re) if not self._b else hash((self.re, self.im))
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def _norm(self) -> Fraction:
-        # squared modulus; rational and zero only at zero
-        return self.re * self.re + self.im * self.im
+        return _make(self._a, -self._b, self._d)
 
     def inverse(self) -> "GaussianRational":
-        n = self._norm()
-        if not n:
-            raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            if not a:
+                raise ZeroDivisionError("inverse of zero in Q(i)")
+            return _make(-d, 0, -a) if a < 0 else _make(d, 0, a)
+        # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+        return _reduced(d * a, -d * b, a * a + b * b)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, f = self._d, other._d
+        return _reduced(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, f = self._d, other._d
+        return _reduced(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -106,16 +124,17 @@ class GaussianRational:
         return other - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if not b:   # a real factor, the common case
+            return _reduced(a * c, a * e, self._d * other._d)
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -136,14 +155,15 @@ class GaussianRational:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = GaussianRational(Fraction(1))
-        base = self
-        e = exponent
+        # result starts at one, which the first factor replaces unmultiplied
+        # (so x ** 1 is x), and base is squared only while bits remain
+        result, base, e = _ONE, self, exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is _ONE else result * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __str__(self) -> str:
@@ -153,12 +173,37 @@ class GaussianRational:
         return f"GaussianRational({format_gaussian(self)!r})"
 
 
+def _make(a, b, d):
+    """(a + b*i)/d from a triple already in lowest terms."""
+    z = _alloc(GaussianRational)
+    z._a, z._b, z._d = a, b, d
+    return z
+
+
+def _reduced(a, b, d):
+    """(a + b*i)/d brought to lowest terms, for d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _make(a, b, d)
+
+
 def _coerce(value):
-    if isinstance(value, GaussianRational):
+    """``value`` as a GaussianRational, or None if it is not an int,
+    Fraction or GaussianRational; with ``GaussianRational.of``, the only
+    place that decides which Python values are Q(i) scalars."""
+    if type(value) is GaussianRational:
         return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(_frac(value))
+    if isinstance(value, int):
+        return _make(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _make(value.numerator, 0, value.denominator)
     return None
+
+
+_alloc = object.__new__
+_ONE = GaussianRational(1)
 
 
 # ---------------------------------------------------------------------------

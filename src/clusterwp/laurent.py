@@ -243,8 +243,10 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if (c := _coerce(other)) is not None:
+            return self + (-c)
         if not isinstance(other, LaurentPoly):
-            other = GaussianRational.of(other)
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):

@@ -76,6 +76,16 @@ class ExchangeMatrix:
                     raise ValueError(f"matrix entries must be integers, got {x!r}")
         find_skew_symmetrizer(self)
 
+    @classmethod
+    def _mutation_of_valid(cls, m, n, rows):
+        """A matrix mutated from a validated one, built without validation:
+        mutation keeps the skew-symmetrizer (Fomin-Zelevinsky, *Cluster
+        algebras I*, Prop. 4.5)."""
+        matrix = object.__new__(cls)
+        for name, value in (("m", m), ("n", n), ("rows", rows)):
+            object.__setattr__(matrix, name, value)
+        return matrix
+
     def b(self, i, j):
         """Entry B_ij with 1-based indices (row i mutable, column j any)."""
         if not (1 <= i <= self.m and 1 <= j <= self.n):
@@ -123,24 +133,35 @@ def find_skew_symmetrizer(matrix):
     return tuple(d)
 
 
+def _mutated_rows(rows, k):
+    """Integer rows of an exchange matrix (one per mutable slot, any number
+    of columns) mutated in direction k, 1-based: row k is negated, and
+    B'_ij = B_ij + |B_ik| [B_kj]_+ if B_ik > 0, B_ij + |B_ik| [B_kj]_- if
+    B_ik < 0, with column k negated."""
+    if not (1 <= k <= len(rows)):
+        raise ValueError(f"mutation direction {k} not in 1..{len(rows)}")
+    kk = k - 1
+    pivot = rows[kk]
+    positive = [max(b, 0) for b in pivot]
+    negative = [min(b, 0) for b in pivot]
+    out = []
+    for i, row in enumerate(rows):
+        bik = row[kk]
+        if i == kk:
+            row = tuple(-b for b in row)
+        elif bik:   # a row with B_ik = 0 is unchanged
+            part, aik = (positive, bik) if bik > 0 else (negative, -bik)
+            row = [b + aik * p for b, p in zip(row, part)]
+            row[kk] = -bik
+            row = tuple(row)
+        out.append(row)
+    return tuple(out)
+
+
 def mutate_matrix(matrix, k):
     """Matrix mutation in direction k (1-based, mutable)."""
-    if not (1 <= k <= matrix.m):
-        raise ValueError(f"mutation direction {k} not in 1..{matrix.m}")
-    kk = k - 1
-    rows = []
-    for i in range(matrix.m):
-        row = []
-        for j in range(matrix.n):
-            b = matrix.rows[i][j]
-            if i == kk or j == kk:
-                row.append(-b)
-            else:
-                bik = matrix.rows[i][kk]
-                bkj = matrix.rows[kk][j]
-                row.append(b + (abs(bik) * bkj + bik * abs(bkj)) // 2)
-        rows.append(tuple(row))
-    return ExchangeMatrix(matrix.m, matrix.n, tuple(rows))
+    return ExchangeMatrix._mutation_of_valid(
+        matrix.m, matrix.n, _mutated_rows(matrix.rows, k))
 
 
 def prime_toggle(name):
@@ -223,16 +244,16 @@ class Seed:
         """Seed mutation in direction k; the replaced variable is renamed
         ``new_name``, by default ``prime_namer(self, k)``.  The c-vectors
         mutate as m extra matrix columns."""
-        m, n = self.matrix.m, self.matrix.n
-        extended = mutate_matrix(ExchangeMatrix(m, n + m, tuple(
-            row + c for row, c in zip(self.matrix.rows, self.cvectors))), k)
+        n = self.matrix.n
+        rows = _mutated_rows(tuple(
+            row + c for row, c in zip(self.matrix.rows, self.cvectors)), k)
         names = list(self.names)
         names[k - 1] = new_name if new_name is not None else prime_namer(self, k)
         gvectors = list(self.gvectors)
         gvectors[k - 1] = self._partner_gvector(k)
-        return Seed(ExchangeMatrix(m, n, tuple(row[:n] for row in extended.rows)),
-                    tuple(names), tuple(gvectors),
-                    tuple(row[n:] for row in extended.rows))
+        return Seed(ExchangeMatrix._mutation_of_valid(
+                        self.matrix.m, n, tuple(row[:n] for row in rows)),
+                    tuple(names), tuple(gvectors), tuple(row[n:] for row in rows))
 
     def cluster_key(self):
         """Order-free identity of the cluster: its sorted g-vectors."""
@@ -291,15 +312,20 @@ def _walk(seed, max_depth, namer=prime_namer):
         if depth == max_depth:
             continue
         for k in range(1, s.matrix.m + 1):
-            g = s._partner_gvector(k)
+            # mutate under the old name and name the variable once the
+            # cluster proves new: a new g-vector always makes a new cluster
+            t = s.mutated(k, s.names[k - 1])
+            key = t.cluster_key()
+            if key in seen:
+                continue
+            seen.add(key)
+            g = t.gvectors[k - 1]
             if g not in names:
                 names[g] = _fresh(namer(s, k), taken)
-            t = s.mutated(k, names[g])
-            key = t.cluster_key()
-            if key not in seen:
-                seen.add(key)
-                queue.append((t, depth + 1))
-                yield t, depth + 1
+            t = Seed(t.matrix, t.names[:k - 1] + (names[g],) + t.names[k:],
+                     t.gvectors, t.cvectors)
+            queue.append((t, depth + 1))
+            yield t, depth + 1
 
 
 def _seed_budget(max_seeds, max_depth):

@@ -2,10 +2,15 @@
 
 Expected values below were derived by hand (conjugate products, small
 inverses) or cross-checked against sympy, which serves as the independent
-oracle for rank computations.
+oracle for rank computations.  ``FractionPair``, the two-``Fraction``
+scalar that the integer-triple ``GaussianRational`` replaced, is kept as
+the oracle for every scalar operation.
 """
 
+import runpy
+from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +102,141 @@ def test_conjugation(a, b):
     assert a.conjugate().conjugate() == a
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+
+
+# ---------------------------------------------------------------------------
+# the two-Fraction scalar as an oracle
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FractionPair:
+    """re + im*i with re, im Fractions: the slow path, operand by operand."""
+
+    re: Fraction
+    im: Fraction
+
+    @classmethod
+    def of(cls, z):
+        return cls(Fraction(z.re), Fraction(z.im))
+
+    def __hash__(self):
+        return hash(self.re) if not self.im else hash((self.re, self.im))
+
+    def __add__(self, o):
+        return FractionPair(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return FractionPair(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return FractionPair(self.re * o.re - self.im * o.im,
+                            self.re * o.im + self.im * o.re)
+
+    def conjugate(self):
+        return FractionPair(self.re, -self.im)
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        return FractionPair(self.re / n, -self.im / n)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __pow__(self, e):
+        if e < 0:
+            return self.inverse() ** -e
+        result = FractionPair(Fraction(1), Fraction(0))
+        for _ in range(e):
+            result = result * self
+        return result
+
+
+def assert_agrees(z, oracle):
+    assert isinstance(z, G)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == (oracle.re, oracle.im)
+    assert hash(z) == hash(oracle)
+    assert str(z) == format_gaussian(z) == format_gaussian(oracle)
+
+
+# scalars with small parts, so that both integral and non-integral values
+# and every denominator pattern turn up often
+gaussian_parts = st.one_of(st.integers(-6, 6),
+                           st.fractions(min_value=-6, max_value=6, max_denominator=6))
+mixed_gaussians = st.builds(G, gaussian_parts, gaussian_parts)
+
+
+@given(mixed_gaussians, mixed_gaussians)
+def test_operations_agree_with_fraction_pair(z, w):
+    oz, ow = FractionPair.of(z), FractionPair.of(w)
+    assert_agrees(z, oz)
+    assert_agrees(z + w, oz + ow)
+    assert_agrees(z - w, oz - ow)
+    assert_agrees(z * w, oz * ow)
+    assert_agrees(-z, FractionPair(-oz.re, -oz.im))
+    assert_agrees(z.conjugate(), oz.conjugate())
+    assert (z == w) == (oz == ow)
+    if w:
+        assert_agrees(z / w, oz / ow)
+        assert_agrees(w.inverse(), ow.inverse())
+    for e in range(-3, 6):
+        if z or e >= 0:
+            assert_agrees(z ** e, oz ** e)
+
+
+@given(mixed_gaussians, gaussian_parts)
+def test_mixed_operands_agree_with_fraction_pair(z, x):
+    oz, ox = FractionPair.of(z), FractionPair(Fraction(x), Fraction(0))
+    assert_agrees(z + x, oz + ox)
+    assert_agrees(x + z, ox + oz)
+    assert_agrees(z - x, oz - ox)
+    assert_agrees(x - z, ox - oz)
+    assert_agrees(z * x, oz * ox)
+    assert_agrees(x * z, ox * oz)
+    assert (z == x) == (oz == ox)
+    assert (z == x) == (x == z)
+    if x:
+        assert_agrees(z / x, oz / ox)
+    if z:
+        assert_agrees(x / z, ox / oz)
+
+
+def test_hash_agrees_with_int_and_fraction():
+    assert hash(G(3)) == hash(3)
+    assert hash(G(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(G(Fraction(-7, 3))) == hash(Fraction(-7, 3))
+    assert {3: "x"}[G(3)] == "x"
+    assert {Fraction(1, 2): "y"}[G(Fraction(1, 2))] == "y"
+
+
+def test_equal_values_built_differently():
+    a = G(Fraction(2, 4), 1)
+    b = G(Fraction(1, 2), Fraction(2, 2))
+    c = G(1, 2) / 2 + G(0, 0)
+    assert a == b == c
+    assert (a.re, a.im) == (b.re, b.im) == (c.re, c.im) == (Fraction(1, 2), Fraction(1))
+    assert hash(a) == hash(b) == hash(c)
+    assert G(Fraction(4, 2), Fraction(0, 5)) == G(2) == 2
+    assert G(2, 2) * G(Fraction(1, 2), Fraction(-1, 2)) == G(2)
+
+
+def test_power_edge_cases():
+    z = G(Fraction(1, 3), 2)
+    assert z ** 1 is z
+    assert z ** 0 == G(1) and G(0) ** 0 == G(1)
+    assert G(0) ** 3 == 0
+    with pytest.raises(ZeroDivisionError):
+        G(0) ** -1
+
+
+def test_non_scalars_are_refused():
+    with pytest.raises(TypeError, match="cannot treat 1.5 as an exact rational"):
+        G.of(1.5)
+    with pytest.raises(TypeError):
+        G(1) + 1.5
+    with pytest.raises(TypeError):
+        G(1.5)
+    assert (G(1) == 1.0) is False
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +368,15 @@ def test_rank_invariant_under_row_ops(m, rng):
     k = rng.randrange(len(m))
     rows[k] = [G(3) * x for x in rows[k]]
     assert rank(rows) == rank(m)
+
+
+# ---------------------------------------------------------------------------
+# micro-benchmark script
+# ---------------------------------------------------------------------------
+
+def test_microbench_smoke(capsys):
+    script = Path(__file__).parent.parent / "scripts" / "microbench.py"
+    runpy.run_path(str(script))["main"](repeat=1)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8 and all(line.endswith(" us/call") for line in lines)
+    assert any(line.startswith("laurent divide_exact markov-60") for line in lines)

@@ -162,6 +162,18 @@ def test_rationalfn_arithmetic_frozen():
     assert a ** -2 == (X0 ** 2).as_rational()
 
 
+def test_laurent_minus_rational_defers():
+    p = LaurentPoly.variable(T2, "x0")
+    r = RationalFn.variable(T2, "x1")
+    assert p - r == -(r - p)
+    assert p - r == p + (-r) == RationalFn(X0 - X1, ONE2)
+    assert p - Fraction(1, 2) == p + Fraction(-1, 2) == X0 - G(Fraction(1, 2))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        p - 1.5
+    with pytest.raises(TypeError, match="unsupported operand"):
+        1.5 - p
+
+
 def test_as_laurent_frozen():
     # ((x1^2+1)^2 + x0^2) / (x0^2 x1) expands to exactly four terms
     num = (X1 ** 2 + 1) ** 2 + X0 ** 2

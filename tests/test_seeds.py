@@ -3,6 +3,7 @@
 import itertools
 from collections import deque
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -510,6 +511,64 @@ def test_mutated_does_no_laurent_arithmetic(monkeypatch):
                 s = seed
                 for k in ks:
                     s = s.mutated(k)
+
+
+def path_seed(n):
+    """The linearly oriented A_n quiver."""
+    rows = tuple(tuple(int(j == i + 1) - int(j == i - 1) for j in range(n))
+                 for i in range(n))
+    return Seed.initial(ExchangeMatrix(n, n, rows), [f"v{i}" for i in range(n)])
+
+
+GOLDEN = Path(__file__).parent / "golden"
+MUTATION_STARTS = (
+    [catalog(key).seed for key in CATALOG_KEYS]
+    + [parse_seed_file((GOLDEN / name).read_text(), name)
+       for name in ("g2-frozen.seed", "d4.seed")]
+    + [path_seed(n) for n in (2, 4, 5, 6)])
+
+
+def textbook_mutation(rows, k):
+    """B'_ij = -B_ij if i or j is k, else B_ij + (|B_ik| B_kj + B_ik |B_kj|) / 2."""
+    kk = k - 1
+    return tuple(
+        tuple(-b if kk in (i, j) else
+              b + (abs(row[kk]) * rows[kk][j] + row[kk] * abs(rows[kk][j])) // 2
+              for j, b in enumerate(row))
+        for i, row in enumerate(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MUTATION_STARTS), st.lists(st.integers(1, 6), max_size=12))
+def test_mutation_keeps_the_skew_symmetrizer(start, directions):
+    # mutated matrices skip validation, which must be redundant: D is kept
+    # (Fomin-Zelevinsky, Cluster algebras I, Prop. 4.5)
+    d = find_skew_symmetrizer(start.matrix)
+    m, n = start.matrix.m, start.matrix.n
+    s = start
+    for k in directions:
+        k = (k - 1) % m + 1
+        t = s.mutated(k)
+        extended = textbook_mutation(
+            tuple(row + c for row, c in zip(s.matrix.rows, s.cvectors)), k)
+        assert t.matrix.rows == tuple(row[:n] for row in extended)
+        assert t.cvectors == tuple(row[n:] for row in extended)
+        assert find_skew_symmetrizer(t.matrix) == d
+        assert ExchangeMatrix(m, n, t.matrix.rows) == t.matrix
+        s = t
+
+
+def test_explore_does_not_revalidate_matrices(monkeypatch):
+    start = a3_seed()
+
+    def forbidden(matrix):
+        raise AssertionError("a mutated matrix was validated again")
+
+    monkeypatch.setattr(seeds_module, "find_skew_symmetrizer", forbidden)
+    e = explore(start)
+    assert len(e.seeds) == 14 and e.n_variables == 9
+    with pytest.raises(AssertionError, match="validated again"):
+        ExchangeMatrix(3, 3, A3.rows)   # input is still validated
 
 
 # ---------------------------------------------------------------------------
