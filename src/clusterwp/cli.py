@@ -15,6 +15,7 @@ deterministic: same invocation, same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -342,6 +343,7 @@ def _cmd_deep(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="clusterwp",

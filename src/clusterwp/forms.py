@@ -208,28 +208,24 @@ def form_difference(a, b):
 def check_invariance(seed, depth):
     """Verify, for every mutation sequence of length 1..depth, that the
     mutated chart's form pulls back to this chart's form.  Returns
-    [(sequence, passed)] in lexicographic order by depth.  Each prefix's
-    form is pushed forward one edge and compared with the next chart's own
-    form; below a passing prefix that is memoized by edge (whole seed, k)."""
+    [(sequence, passed)] in lexicographic order by depth.  Each seed reached
+    is checked once, by pushing its parent's form forward one edge and
+    comparing with its own form; a seed's g-vectors fix its cluster
+    variables, so the push-forward depends on the seed and not on the path."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    level = {(): (seed, wp_form(seed), True)}
-    edges = {}
+    pushed = {seed: (wp_form(seed), True)}
+    level = {(): seed}
     report = []
     for d in range(1, depth + 1):
         parents, level = level, {}
         for ks in itertools.product(range(1, seed.matrix.m + 1), repeat=d):
-            s, form, parent_ok = parents[ks[:-1]]
-            k = ks[-1]
-            t = s.mutated(k)
-            step = edges.get((s, k)) if parent_ok else None
-            if step is None:
-                pushed, own = pullback(form, t, k), wp_form(t)
-                step = (own, True) if forms_equal(pushed, own) else (pushed, False)
-                if parent_ok:
-                    edges[(s, k)] = step
-            level[ks] = (t, *step)
-            report.append((ks, step[1]))
+            s, k = parents[ks[:-1]], ks[-1]
+            t = level[ks] = s.mutated(k)
+            if t not in pushed:
+                form, own = pullback(pushed[s][0], t, k), wp_form(t)
+                pushed[t] = (own, True) if forms_equal(form, own) else (form, False)
+            report.append((ks, pushed[t][1]))
     return report
 
 

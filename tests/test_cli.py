@@ -135,6 +135,18 @@ def test_explore_a3_census(capsys):
     assert any(line.startswith("variable x24 = ") for line in lines)
 
 
+def test_failed_parse_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["explore", "a3", "--max-seeds", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    rc, out, err = run(capsys, "explore", "a3")
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                          "explore-a3.out")
+    with open(golden) as fh:
+        assert (rc, out, err) == (0, fh.read(), "")
+
+
 def test_explore_budget_truncates(capsys):
     rc, out, _ = run(capsys, "explore", "markov", "--max-seeds", "4")
     assert rc == 0

@@ -412,10 +412,21 @@ def test_check_invariance_matches_chained_random(seed):
     assert check_invariance(seed, 2) == chained_invariance(seed, 2)
 
 
-@pytest.mark.parametrize("seed,depth,pullbacks", [
-    (A3, 3, 27), (A3, 6, 156), (MARKOV, 6, 282)], ids=["a3-3", "a3-6", "markov-6"])
-def test_check_invariance_pulls_back_once_per_edge(monkeypatch, seed, depth,
-                                                   pullbacks):
+# Two paths meet at one seed: the square mu_1 mu_3 = mu_3 mu_1 in A3, and
+# prime toggles colliding along different paths in a rank-2 chart named x, x'.
+TWINS = Seed.initial(ExchangeMatrix(2, 2, ((0, 1), (-1, 0))), ("x", "x'"))
+
+
+@pytest.mark.parametrize("seed,depth", [(A3, 4), (TWINS, 5)], ids=["A3-4", "twins-5"])
+def test_check_invariance_matches_chained_where_paths_merge(seed, depth):
+    assert check_invariance(seed, depth) == chained_invariance(seed, depth)
+
+
+@pytest.mark.parametrize("seed,depth,pullbacks,failures", [
+    (A3, 3, 17, 0), (A3, 6, 77, 0), (MARKOV, 6, 189, 0), (C3, 4, 32, 69), (M2, 4, 8, 18)],
+    ids=["a3-3", "a3-6", "markov-6", "c3-4", "m2-4"])
+def test_check_invariance_pulls_back_once_per_seed(monkeypatch, seed, depth,
+                                                   pullbacks, failures):
     calls = []
     counted_pullback = forms_module.pullback
 
@@ -425,7 +436,7 @@ def test_check_invariance_pulls_back_once_per_edge(monkeypatch, seed, depth,
 
     monkeypatch.setattr(forms_module, "pullback", counted)
     report = check_invariance(seed, depth)
-    assert all(ok for _, ok in report)
+    assert sum(not ok for _, ok in report) == failures
     assert len(calls) == pullbacks
 
 
