@@ -142,8 +142,9 @@ def tour_markov():
     entry = catalog("markov")
     print(emit_seed_file(entry.seed), end="")
 
+    ones = {name: 1 for name in entry.seed.names}
     print(f"\nGraded degree of the 2-form (all weights 1): "
-          f"{form_degree(wp_form(entry.seed), entry.weights)}")
+          f"{form_degree(wp_form(entry.seed), ones)}")
 
     pattern = VanishingPattern(entry.seed, frozenset({1, 2, 3}))
     print("\nAll three variables vanish at the origin point.")

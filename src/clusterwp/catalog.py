@@ -3,7 +3,7 @@
 Each entry bundles a seed with everything the command line needs to talk
 about it fluently: a naming convention for new variables, a reference
 exploration, an acyclic presentation when one exists, distinguished
-points, alternate 2-form expressions, and grading weights.
+points, and alternate 2-form expressions.
 
 Besides the default ``prime_namer``, two naming conventions do real work:
 
@@ -58,7 +58,6 @@ class CatalogEntry:
     presentation: Optional[Presentation]
     points: Mapping[str, AlgebraPoint]
     forms: Mapping[str, SymbolicForm]
-    weights: Mapping[str, int]
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +191,6 @@ def _build_sl2():
         presentation=presentation,
         points={"deep": deep},
         forms={"regular": regular},
-        weights={name: 1 for name in seed.names},
     )
 
 
@@ -219,7 +217,6 @@ def _build_a3():
         presentation=presentation,
         points={"deep": deep, "generic": generic},
         forms={"regular": regular},
-        weights={name: 1 for name in seed.names},
     )
 
 
@@ -253,7 +250,6 @@ def _build_affine():
         presentation=presentation,
         points=points,
         forms={"candidate": candidate},
-        weights={name: 1 for name in seed.names},
     )
 
 
@@ -272,7 +268,6 @@ def _build_markov():
         presentation=None,
         points={"p0": origin},
         forms={},
-        weights={name: 1 for name in seed.names},
     )
 
 

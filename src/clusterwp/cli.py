@@ -35,7 +35,6 @@ from .laurent import Inhomogeneous
 from .regularity import (
     AlgebraPoint,
     HypothesisViolated,
-    VanishingPattern,
     constant_vanishing_oracle,
     deep_witness,
     find_regularizing_seed,
@@ -44,7 +43,6 @@ from .regularity import (
     propagate_point,
     regularize_at,
     tangent_dimension,
-    vanishing_pattern,
 )
 from .seeds import (
     InputFileError,
@@ -93,9 +91,9 @@ def _load_point(path):
     return parse_point_file(_read_file(path), path)
 
 
-def _emit_point(assignment):
+def _emit_point(point):
     return "".join(f"{name} = {format_gaussian(value)}\n"
-                   for name, value in assignment.items())
+                   for name, value in point.assignment.items())
 
 
 def _cycle_text(cycle):
@@ -121,19 +119,16 @@ def _cmd_catalog(args):
         entry = catalog(args.key)
     except KeyError as exc:
         raise _UsageError(exc.args[0]) from None
-    if args.form is not None:
-        if args.form not in entry.forms:
+    for kind, items, emit in (("form", entry.forms, emit_form_file),
+                              ("point", entry.points, _emit_point)):
+        name = getattr(args, kind)
+        if name is None:
+            continue
+        if name not in items:
             raise _UsageError(
-                f"entry {args.key!r} has no form {args.form!r} "
-                f"(available: {', '.join(sorted(entry.forms)) or 'none'})")
-        sys.stdout.write(emit_form_file(entry.forms[args.form]))
-        return 0
-    if args.point is not None:
-        if args.point not in entry.points:
-            raise _UsageError(
-                f"entry {args.key!r} has no point {args.point!r} "
-                f"(available: {', '.join(sorted(entry.points)) or 'none'})")
-        sys.stdout.write(_emit_point(entry.points[args.point].assignment))
+                f"entry {args.key!r} has no {kind} {name!r} "
+                f"(available: {', '.join(sorted(items)) or 'none'})")
+        sys.stdout.write(emit(items[name]))
         return 0
     sys.stdout.write(emit_seed_file(entry.seed))
     return 0
@@ -235,29 +230,16 @@ def _cmd_invariance(args):
     return 0
 
 
-def _pattern_from_args(args, seed):
-    if args.pattern is not None:
-        indices = _parse_index_list(args.pattern, "--pattern")
-        try:
-            return VanishingPattern(seed, frozenset(indices)), None
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-    values = _load_point(args.point)
-    point = AlgebraPoint(values)
-    try:
-        return vanishing_pattern(point, seed), point
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _cmd_regularize(args):
     seed, namer, _ = _resolve_seed(args.seed)
-    pattern, point = _pattern_from_args(args, seed)
-    oracle = (point_vanishing_oracle(point) if point is not None
-              else constant_vanishing_oracle(pattern.indices))
+    if args.pattern is not None:
+        oracle = constant_vanishing_oracle(
+            _parse_index_list(args.pattern, "--pattern"))
+    else:
+        oracle = point_vanishing_oracle(AlgebraPoint(_load_point(args.point)))
     try:
         if args.search is None:
-            form = regularize_at(seed, pattern, namer=namer)
+            form = regularize_at(seed, oracle(seed), namer=namer)
         else:
             found, form = find_regularizing_seed(
                 seed, oracle, max_seeds=args.search, namer=namer)
@@ -269,7 +251,7 @@ def _cmd_regularize(args):
     except NotFoundWithinBudget as exc:
         print(f"no regularizing seed found: {exc}")
         return 1
-    except ValueError as exc:   # a rewrite the chart does not admit
+    except ValueError as exc:   # a pattern or rewrite the chart does not admit
         raise _UsageError(str(exc)) from None
     if args.search is not None:
         sys.stdout.write(emit_seed_file(found))
@@ -292,7 +274,7 @@ def _cmd_tangent(args):
 
 
 def _cmd_grade(args):
-    seed, _, entry = _resolve_seed(args.seed)
+    seed, _, _ = _resolve_seed(args.seed)
     if args.weights is not None:
         ws = _parse_index_list(args.weights, "--weights")
         if len(ws) != len(seed.names):
@@ -300,8 +282,6 @@ def _cmd_grade(args):
                 f"--weights needs {len(seed.names)} entries "
                 f"(one per variable), got {len(ws)}")
         weights = dict(zip(seed.names, ws))
-    elif entry is not None:
-        weights = dict(entry.weights)
     else:
         weights = {name: 1 for name in seed.names}
     form = wp_form(seed)

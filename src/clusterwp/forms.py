@@ -23,7 +23,8 @@ import itertools
 import re
 
 from .exprs import ExprError, parse_expression
-from .laurent import LaurentError, LaurentPoly, NotLaurent, RationalFn, VarTable
+from .laurent import (
+    Inhomogeneous, LaurentError, LaurentPoly, NotLaurent, RationalFn, VarTable)
 from .seeds import InputFileError, _content_lines, _exchange_partner, mutate_matrix
 
 
@@ -64,6 +65,13 @@ class ChartForm:
             if not c.num.is_zero:
                 clean[slot] = c
         self.coeffs = clean
+
+    @property
+    def terms(self):
+        """The form as terms (c, f_i, f_j), in slot order."""
+        names = self.chart.names
+        return tuple((c, names[i - 1], names[j - 1])
+                     for (i, j), c in sorted(self.coeffs.items()))
 
     def scaled(self, factor):
         return ChartForm(self.chart,
@@ -187,9 +195,7 @@ def pullback(form, target, k):
     gens = {nm: LaurentPoly.variable(chart_table, nm) for nm in target.names}
     gens[partner_name] = _exchange_partner(target.matrix, k, list(gens.values()),
                                            chart_table)
-    terms = [(c, form.chart.names[i - 1], form.chart.names[j - 1])
-             for (i, j), c in sorted(form.coeffs.items())]
-    return _reduce(terms, gens, target)
+    return _reduce(form.terms, gens, target)
 
 
 def forms_equal(a, b):
@@ -233,14 +239,10 @@ def form_degree(form, weights):
     """Common weighted degree of all terms, counting c·df_i∧df_j as
     deg(c) + w_i + w_j - 2 (differentials lower degree by one).  Raises
     Inhomogeneous when terms disagree."""
-    from .laurent import Inhomogeneous
     if not form.coeffs:
         raise ValueError("the zero form has no degree")
-    degrees = {}
-    for (i, j), c in sorted(form.coeffs.items()):
-        ni, nj = form.chart.names[i - 1], form.chart.names[j - 1]
-        degrees[(i, j)] = c.weighted_degree(weights) + weights[ni] + weights[nj] - 2
-    distinct = sorted(set(degrees.values()))
+    distinct = sorted({c.weighted_degree(weights) + weights[g] + weights[h] - 2
+                       for c, g, h in form.terms})
     if len(distinct) > 1:
         raise Inhomogeneous(f"term degrees disagree: {distinct}")
     return distinct[0]
@@ -282,7 +284,7 @@ def parse_form_file(text, chart, filename="<input>"):
                 for nm in chart.names}
     for no, name, expr_text in gen_lines:
         try:
-            table_so_far = VarTable(names + [name])
+            VarTable(names + [name])
         except ValueError as exc:
             raise FormFileError(filename, no, str(exc)) from None
         try:
@@ -297,7 +299,6 @@ def parse_form_file(text, chart, filename="<input>"):
         names.append(name)
         gens[name] = expansion
         bindings[name] = RationalFn(expansion)
-        del table_so_far
 
     table = VarTable(names)
     zero_gen = any(exp.is_zero for exp in gens.values())
@@ -326,16 +327,8 @@ def parse_form_file(text, chart, filename="<input>"):
 
 def emit_form_file(form):
     """Canonical text form; emit . parse . emit is the identity on bytes."""
-    lines = []
-    if isinstance(form, ChartForm):
-        for (i, j), c in sorted(form.coeffs.items()):
-            lines.append(f"{c.to_expr()} ; {form.chart.names[i - 1]} ; "
-                         f"{form.chart.names[j - 1]}")
-    else:
-        chart_names = set(form.chart.names)
-        for nm in form.table.names:
-            if nm not in chart_names:
-                lines.append(f"gen {nm} = {form.gens[nm].to_expr()}")
-        for c, g, h in form.terms:
-            lines.append(f"{c.to_expr()} ; {g} ; {h}")
+    gens = form.gens.items() if isinstance(form, SymbolicForm) else ()
+    lines = [f"gen {nm} = {exp.to_expr()}" for nm, exp in gens
+             if nm not in form.chart.names]
+    lines += [f"{c.to_expr()} ; {g} ; {h}" for c, g, h in form.terms]
     return "\n".join(lines) + "\n" if lines else ""

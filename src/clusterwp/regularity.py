@@ -23,7 +23,7 @@ from .seeds import (
     Seed,
     _content_lines,
     _exchange_partner,
-    _fresh,
+    _partner_names,
     _seed_budget,
     _walk,
     prime_namer,
@@ -61,9 +61,6 @@ class AlgebraPoint:
         coerced = {name: GaussianRational.of(v) for name, v in
                    self.assignment.items()}
         object.__setattr__(self, "assignment", coerced)
-
-    def value(self, name):
-        return self.assignment.get(name)
 
 
 def _pos_neg_value(factors, assignment):
@@ -265,9 +262,9 @@ def regularize_at(seed, pattern, namer=prime_namer):
         [prod_{B_ij>0} f_j^{-B_ij}] * (df_i∧df_i' +
             f_i' * sum_{B_ij<0} B_ij df_i∧df_j / f_j),
 
-    introducing the once-mutated generator f_i', named ``namer(seed, i)``
-    with primes appended until it differs from the seed's names and the
-    generators introduced before it.  Non-singular terms are kept verbatim.
+    introducing the once-mutated generator f_i', named as
+    ``acyclic_presentation`` names partner i.  Non-singular terms are kept
+    verbatim.
     Raises HypothesisViolated when two vanishing indices are exchange-adjacent."""
     if pattern.seed != seed:
         raise ValueError("pattern was built over a different seed")
@@ -288,24 +285,23 @@ def regularize_at(seed, pattern, namer=prime_namer):
 
     chart_table = seed.chart()
     chart_vars = [LaurentPoly.variable(chart_table, nm) for nm in seed.names]
-    taken = set(seed.names)
-    primes = {i: _fresh(namer(seed, i), taken) for i in v_sorted}
-    extras = {primes[i]: _exchange_partner(mat, i, chart_vars, chart_table)
+    partners = _partner_names(seed, namer)
+    extras = {partners[i - 1]: _exchange_partner(mat, i, chart_vars, chart_table)
               for i in v_sorted}
 
     sym_table = VarTable(seed.names + tuple(extras))
     var = {nm: LaurentPoly.variable(sym_table, nm) for nm in sym_table.names}
     terms = []
     for i in v_sorted:
-        name_i = seed.names[i - 1]
+        name_i, partner = seed.names[i - 1], partners[i - 1]
         multiplier = LaurentPoly.constant(sym_table, 1)
         for j, b in enumerate(mat.rows[i - 1]):
             if b > 0:
                 multiplier = multiplier * var[seed.names[j]] ** (-b)
-        terms.append((RationalFn(multiplier), name_i, primes[i]))
+        terms.append((RationalFn(multiplier), name_i, partner))
         for j, b in enumerate(mat.rows[i - 1]):
             if b < 0:
-                coeff = RationalFn(multiplier * var[primes[i]] * b,
+                coeff = RationalFn(multiplier * var[partner] * b,
                                    var[seed.names[j]])
                 terms.append((coeff, name_i, seed.names[j]))
     vanishing = set(pattern.indices)

@@ -183,6 +183,14 @@ def prime_namer(seed, k):
     return _fresh(prime_toggle(seed.names[k - 1]), set(seed.names))
 
 
+def _partner_names(seed, namer):
+    """Names of the once-mutated partners of the m mutable variables, in
+    slot order: partner i is ``namer(seed, i)``, primed until it differs
+    from the seed's names and the partners before it."""
+    taken = set(seed.names)
+    return tuple(_fresh(namer(seed, i), taken) for i in range(1, seed.matrix.m + 1))
+
+
 def _exchange_binomial(row, factors, table):
     """Sum of the two exchange monomials for one matrix row.
 
@@ -364,15 +372,13 @@ class Presentation:
 
 
 def acyclic_presentation(seed, namer=prime_namer):
-    """Presentation of an acyclic seed (NotAcyclic names a cycle).  Partner
-    i is named ``namer(seed, i)``, with primes appended until it differs
-    from the seed's names and the partners before it."""
+    """Presentation of an acyclic seed (NotAcyclic names a cycle), its
+    partners named by ``_partner_names``."""
     cycle = find_directed_cycle(seed.matrix)
     if cycle is not None:
         raise NotAcyclic(cycle)
     m = seed.matrix.m
-    taken = set(seed.names)
-    primed_names = tuple(_fresh(namer(seed, i), taken) for i in range(1, m + 1))
+    primed_names = _partner_names(seed, namer)
     table = VarTable(seed.names + primed_names)
     gens = [LaurentPoly.variable(table, nm) for nm in seed.names]
     relations = []

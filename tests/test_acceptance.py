@@ -174,7 +174,8 @@ def test_criterion_06_local_regularization():
 def test_criterion_07_markov_obstruction():
     with _Budget(10):
         entry = catalog("markov")
-        assert form_degree(wp_form(entry.seed), entry.weights) == -2
+        ones = {name: 1 for name in entry.seed.names}
+        assert form_degree(wp_form(entry.seed), ones) == -2
 
         pattern = VanishingPattern(entry.seed, frozenset({1, 2, 3}))
         assert trace_vanishing_cycle(pattern, 1, 2) == (1, 2, 3)

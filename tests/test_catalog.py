@@ -71,7 +71,6 @@ def test_every_entry_well_formed(key):
     assert isinstance(entry, CatalogEntry)
     assert entry.key == key
     assert entry.description
-    assert entry.weights == {name: 1 for name in entry.seed.names}
     # every shipped point passes verification in its shipped context
     for name, point in entry.points.items():
         assert verify_point(point) == [], (key, name)
@@ -300,7 +299,6 @@ def test_affine_candidate_form_reduces_to_half_wp():
 def test_markov_seed_and_weights():
     entry = catalog("markov")
     assert entry.seed.matrix.rows == ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
-    assert entry.weights == {"x1": 1, "x2": 1, "x3": 1}
     assert entry.presentation is None
 
 

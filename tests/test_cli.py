@@ -69,10 +69,15 @@ def test_catalog_unknown_key(capsys):
 
 
 def test_catalog_unknown_form_and_point(capsys):
-    rc, _, err = run(capsys, "catalog", "sl2", "--form", "nope")
-    assert rc == 2 and "available" in err
-    rc, _, err = run(capsys, "catalog", "markov", "--point", "nope")
-    assert rc == 2 and "available" in err
+    rc, out, err = run(capsys, "catalog", "sl2", "--form", "nope")
+    assert (rc, out, err) == (
+        2, "", "error: entry 'sl2' has no form 'nope' (available: regular)\n")
+    rc, out, err = run(capsys, "catalog", "markov", "--form", "nope")
+    assert (rc, out, err) == (
+        2, "", "error: entry 'markov' has no form 'nope' (available: none)\n")
+    rc, out, err = run(capsys, "catalog", "markov", "--point", "nope")
+    assert (rc, out, err) == (
+        2, "", "error: entry 'markov' has no point 'nope' (available: p0)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +533,25 @@ def test_regularize_pattern_validation(capsys):
     assert rc == 2 and "comma-separated" in err
 
 
+@pytest.mark.parametrize("search", [[], ["--search", "5"]])
+@pytest.mark.parametrize("seed,pattern,message", [
+    ("a3", "1,9", "index 9 outside 1..3"),
+    ("sl2", "2", "index 2 is frozen; frozen variables are invertible "
+                 "and cannot vanish"),
+])
+def test_regularize_pattern_diagnostics(capsys, search, seed, pattern, message):
+    rc, out, err = run(capsys, "regularize", seed, "--pattern", pattern, *search)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("search", [[], ["--search", "5"]])
+def test_regularize_point_must_assign_the_start_chart(capsys, tmp_path, search):
+    point = tmp_path / "p.point"
+    point.write_text("x13 = 0\nx14 = 1\n")
+    rc, out, err = run(capsys, "regularize", "a3", "--point", str(point), *search)
+    assert (rc, out, err) == (2, "", "error: chart variable x15 is not assigned\n")
+
+
 def test_regularize_search_point_must_assign_every_chart_variable(capsys, tmp_path):
     point = tmp_path / "p.point"
     point.write_text("x13 = 0\nx14 = 0\nx15 = 1\n")
@@ -807,6 +831,25 @@ def test_regularize_search_names_variables_as_explore_does(capsys, tmp_path):
     clusters = [line.split(": ", 1)[1] for line in out.splitlines()
                 if line.startswith("cluster ")]
     assert names[0] in clusters
+
+
+def test_regularize_names_partners_as_present_does(capsys, tmp_path):
+    # present and explore give x'' to the partner of x, so the partner of x'
+    # is x''' even when x' vanishes alone
+    path = tmp_path / "t3.seed"
+    path.write_text("rank 3\nmutable 3\nnames x x' y\n"
+                    "row 0 1 0\nrow -1 0 1\nrow 0 -1 0\n")
+    rc, out, err = run(capsys, "regularize", str(path), "--pattern", "2")
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == "gen x''' = x*x'^-1 + x'^-1*y"
+    (tmp_path / "reg.form").write_text(out)
+    rc, out, _ = run(capsys, "present", str(path))
+    assert rc == 0 and "relation x'*x''' - x - y" in out.splitlines()
+    rc, out, _ = run(capsys, "wp", str(path))
+    (tmp_path / "wp.form").write_text(out)
+    rc, out, err = run(capsys, "equal", str(path), str(tmp_path / "reg.form"),
+                       str(tmp_path / "wp.form"))
+    assert (rc, out, err) == (0, "equal\n", "")
 
 
 def test_invariance_over_fresh_names(capsys, twins):

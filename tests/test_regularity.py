@@ -291,7 +291,7 @@ def test_regularize_partner_names_are_fresh():
     # a namer that repeats itself still gets one fresh name per partner
     out = regularize_at(A3, VanishingPattern(A3, frozenset({1, 3})),
                         namer=lambda s, k: "x14")
-    assert out.table.names == ("x13", "x14", "x15", "x14'", "x14''")
+    assert out.table.names == ("x13", "x14", "x15", "x14'", "x14'''")
     assert forms_equal(reduce_to_chart(out, A3), wp_form(A3))
 
 
