@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from math import prod
 
 from .exact import GaussianParseError, GaussianRational, parse_gaussian, rank
 from .forms import SymbolicForm, wp_form
@@ -26,6 +27,7 @@ from .seeds import (
     _partner_names,
     _seed_budget,
     _walk,
+    _walk_namer,
     prime_namer,
 )
 
@@ -63,15 +65,15 @@ class AlgebraPoint:
         object.__setattr__(self, "assignment", coerced)
 
 
-def _pos_neg_value(factors, assignment):
-    """Evaluate a (name, exponent) monomial list, or None if unassigned."""
-    total = GaussianRational.of(1)
-    for name, exp in factors:
-        v = assignment.get(name)
-        if v is None:
-            return None
-        total = total * v ** exp
-    return total
+def _exchange_value(rel, a):
+    """P = P+ + P- of an exchange relation at the assignment ``a``, or None
+    if a factor is unassigned."""
+    one = GaussianRational.of(1)
+    try:
+        return (prod([a[name] ** e for name, e in rel.pos], start=one)
+                + prod([a[name] ** e for name, e in rel.neg], start=one))
+    except KeyError:
+        return None
 
 
 def _factor_text(factors):
@@ -109,14 +111,12 @@ def verify_point(point):
         for rel in point.context.relations():
             if rel.partner is None or rel.var not in a or rel.partner not in a:
                 continue
-            rhs_pos = _pos_neg_value(rel.pos, a)
-            rhs_neg = _pos_neg_value(rel.neg, a)
-            if rhs_pos is None or rhs_neg is None:
+            rhs = _exchange_value(rel, a)
+            if rhs is None:
                 continue
             lhs = a[rel.var] * a[rel.partner]
-            if lhs != rhs_pos + rhs_neg:
-                issues.append(f"{_relation_text(rel)} violated: "
-                              f"{lhs} != {rhs_pos + rhs_neg}")
+            if lhs != rhs:
+                issues.append(f"{_relation_text(rel)} violated: {lhs} != {rhs}")
     return issues
 
 
@@ -143,11 +143,9 @@ def propagate_point(point, exploration):
             fv = a.get(rel.var)
             if fv is None:
                 continue
-            rhs_pos = _pos_neg_value(rel.pos, a)
-            rhs_neg = _pos_neg_value(rel.neg, a)
-            if rhs_pos is None or rhs_neg is None:
+            rhs = _exchange_value(rel, a)
+            if rhs is None:
                 continue
-            rhs = rhs_pos + rhs_neg
             if not fv:
                 if rhs:
                     report(("zero", rel.seed_index, rel.direction),
@@ -243,15 +241,6 @@ def trace_vanishing_cycle(pattern, a, b):
         walk.append(successor)
 
 
-def _negative_support(poly):
-    names = set()
-    for exps in poly.terms:
-        for name, e in zip(poly.table.names, exps):
-            if e < 0:
-                names.add(name)
-    return names
-
-
 def regularize_at(seed, pattern, namer=prime_namer):
     """Rewrite the chart form so no written denominator meets the vanishing
     set.
@@ -262,9 +251,8 @@ def regularize_at(seed, pattern, namer=prime_namer):
         [prod_{B_ij>0} f_j^{-B_ij}] * (df_i∧df_i' +
             f_i' * sum_{B_ij<0} B_ij df_i∧df_j / f_j),
 
-    introducing the once-mutated generator f_i', named as
-    ``acyclic_presentation`` names partner i.  Non-singular terms are kept
-    verbatim.
+    introducing the once-mutated generator f_i', named as partner i of
+    ``_partner_names(seed, namer)``.  Non-singular terms are kept verbatim.
     Raises HypothesisViolated when two vanishing indices are exchange-adjacent."""
     if pattern.seed != seed:
         raise ValueError("pattern was built over a different seed")
@@ -316,7 +304,8 @@ def regularize_at(seed, pattern, namer=prime_namer):
     form = SymbolicForm(seed, extras, terms)
     banned = set(pattern.names())
     for coeff, _, _ in form.terms:
-        support = set(coeff.den.variables_used()) | _negative_support(coeff.num)
+        low = zip(coeff.table.names, coeff.num.monomial_content())
+        support = coeff.den.variables_used() | {nm for nm, e in low if e < 0}
         if support & banned:      # pragma: no cover - identity guarantees this
             raise RuntimeError("regularization left a vanishing denominator")
     return form
@@ -340,13 +329,14 @@ def find_regularizing_seed(start, v_oracle, max_depth=3, max_seeds=1000,
     """Breadth-first search of the mutation graph for a seed whose chart
     admits the regularizing rewrite for its oracle-supplied vanishing set,
     among the first max_seeds distinct clusters in breadth-first order, none
-    deeper than max_depth; raises NotFoundWithinBudget if none does.  The
-    walk names variables by ``namer`` as ``explore`` does; ``regularize_at``
-    names its generators by ``namer`` in the found seed's scope."""
-    for s, _ in islice(_walk(start, max_depth, namer),
+    deeper than max_depth; raises NotFoundWithinBudget if none does.  One
+    ``_walk_namer(start, namer)`` names the walk's variables, as ``explore``
+    does, and the found form's generators, so a name means one variable."""
+    name = _walk_namer(start, namer)
+    for s, _ in islice(_walk(start, max_depth, name),
                        _seed_budget(max_seeds, max_depth)):
         try:
-            return s, regularize_at(s, v_oracle(s), namer=namer)
+            return s, regularize_at(s, v_oracle(s), namer=name)
         except HypothesisViolated:
             pass
     raise NotFoundWithinBudget(

@@ -12,9 +12,9 @@ each distinct variable's expansion on first read, by one exact division
 from a seed one mutation away.
 
 A new variable is named by a namer ``(seed, k) -> name``, by default
-``prime_namer``, and primed until fresh among the names around it: the
-seed's, a presentation's partners, or every name a walk of the exchange
-graph has given, so ``explore`` and both searches agree on names.
+``prime_namer``, primed until fresh among the seed's names or all the names
+a walk has given (``_walk_namer``).  A seed's partners are the first ring
+of a walk from it, so ``explore``, ``present`` and both searches agree.
 """
 
 from __future__ import annotations
@@ -183,12 +183,27 @@ def prime_namer(seed, k):
     return _fresh(prime_toggle(seed.names[k - 1]), set(seed.names))
 
 
+def _walk_namer(seed, namer=prime_namer):
+    """The naming routine ``(s, k) -> name`` of a walk from ``seed``.  The
+    variable that replaces slot k of s is told apart by g-vector: the first
+    time it is met it is named ``namer(s, k)``, primed until it differs from
+    every name given so far, and it keeps that name afterwards."""
+    names, taken = dict(zip(seed.gvectors, seed.names)), set(seed.names)
+
+    def name(s, k):
+        g = s._partner_gvector(k)
+        if g not in names:
+            names[g] = _fresh(namer(s, k), taken)
+        return names[g]
+    return name
+
+
 def _partner_names(seed, namer):
-    """Names of the once-mutated partners of the m mutable variables, in
-    slot order: partner i is ``namer(seed, i)``, primed until it differs
-    from the seed's names and the partners before it."""
-    taken = set(seed.names)
-    return tuple(_fresh(namer(seed, i), taken) for i in range(1, seed.matrix.m + 1))
+    """Names of the once-mutated partners of the m mutable variables: the
+    first ring of a walk from ``seed``, in slot order.  A walk's own naming
+    routine as ``namer`` keeps that walk's names, which are fresh already."""
+    name = _walk_namer(seed, namer)
+    return tuple(name(seed, i) for i in range(1, seed.matrix.m + 1))
 
 
 def _exchange_binomial(row, factors, table):
@@ -303,15 +318,13 @@ def is_acyclic(matrix):
     return find_directed_cycle(matrix) is None
 
 
-def _walk(seed, max_depth, namer=prime_namer):
+def _walk(seed, max_depth, name=None):
     """Breadth-first walk of the exchange graph from ``seed``, yielding
     ``(seed, depth)`` for each distinct cluster (by ``cluster_key``) the
     moment it is discovered, the start first; discovery order is also
-    expansion order.  Seeds at ``max_depth`` are not expanded.  Variables
-    are told apart by g-vector: one met first in slot k of a seed s is named
-    ``namer(s, k)``, primed until it differs from every name the walk has
-    given, and keeps that name wherever the walk meets it again."""
-    names, taken = dict(zip(seed.gvectors, seed.names)), set(seed.names)
+    expansion order.  Seeds at ``max_depth`` are not expanded.  New
+    variables are named by ``name``, a ``_walk_namer`` from ``seed``."""
+    name = name or _walk_namer(seed)
     seen = {seed.cluster_key()}
     queue = deque([(seed, 0)])
     yield seed, 0
@@ -327,10 +340,7 @@ def _walk(seed, max_depth, namer=prime_namer):
             if key in seen:
                 continue
             seen.add(key)
-            g = t.gvectors[k - 1]
-            if g not in names:
-                names[g] = _fresh(namer(s, k), taken)
-            t = Seed(t.matrix, t.names[:k - 1] + (names[g],) + t.names[k:],
+            t = Seed(t.matrix, t.names[:k - 1] + (name(s, k),) + t.names[k:],
                      t.gvectors, t.cvectors)
             queue.append((t, depth + 1))
             yield t, depth + 1
@@ -482,11 +492,11 @@ def explore(seed, max_seeds=1000, max_depth=16, namer=prime_namer):
     Keeps the first max_seeds distinct clusters in breadth-first order,
     none deeper than max_depth.  Clusters and variables are identified by
     g-vectors, so the walk terminates on finite exchange graphs; variables
-    are named by ``namer`` as ``_walk`` names them.  ``truncated`` is set
+    are named by ``_walk_namer(seed, namer)``.  ``truncated`` is set
     when the seed budget bites or a node at the depth cap is left
     unexpanded.
     """
-    walk = _walk(seed, max_depth, namer)
+    walk = _walk(seed, max_depth, _walk_namer(seed, namer))
     kept = list(islice(walk, _seed_budget(max_seeds, max_depth)))
     truncated = (next(walk, None) is not None
                  or any(depth == max_depth for _, depth in kept))

@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,7 @@ from clusterwp import seeds as seeds_module
 from clusterwp.catalog import catalog
 from clusterwp.cli import main
 from clusterwp.forms import parse_form_file, reduce_to_chart, wp_form
-from clusterwp.seeds import emit_seed_file, is_acyclic, parse_seed_file
+from clusterwp.seeds import emit_seed_file, explore, is_acyclic, parse_seed_file
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -850,6 +851,35 @@ def test_regularize_names_partners_as_present_does(capsys, tmp_path):
     rc, out, err = run(capsys, "equal", str(path), str(tmp_path / "reg.form"),
                        str(tmp_path / "wp.form"))
     assert (rc, out, err) == (0, "equal\n", "")
+
+
+A3_TWINS_CHAIN = "rank 3\nmutable 3\nnames x x' y\nrow 0 1 0\nrow -1 0 1\nrow 0 -1 0\n"
+GOLDEN_A3 = (Path(__file__).parent / "golden" / "a3.seed").read_text()
+
+
+@pytest.mark.parametrize("seed_text", [GOLDEN_A3, A3_TWINS_CHAIN],
+                         ids=["golden-a3", "twins-chain"])
+def test_regularize_search_gens_are_the_variables_explore_names(capsys, tmp_path,
+                                                                seed_text):
+    # a gen whose name explore also gives is explore's variable of that name:
+    # its expansion in the found chart, with the chart variables replaced by
+    # their expansions in the start chart, is explore's expansion
+    path = tmp_path / "start.seed"
+    path.write_text(seed_text)
+    rc, out, err = run(capsys, "regularize", str(path), "--pattern", "1,2",
+                       "--search", "50")
+    assert (rc, err) == (0, "")
+    found_text, form_text = out.split("form:\n")
+    found = parse_seed_file(found_text)
+    form = parse_form_file(form_text, found)
+    start = parse_seed_file(seed_text)
+    variables = explore(start).variables
+    bindings = {nm: variables[nm].as_rational() for nm in found.names}
+    shared = [nm for nm in form.table.names[len(found.names):] if nm in variables]
+    assert shared
+    for nm in shared:
+        in_start = form.gens[nm].as_rational().substitute(bindings, start.chart())
+        assert in_start == variables[nm].as_rational(), nm
 
 
 def test_invariance_over_fresh_names(capsys, twins):

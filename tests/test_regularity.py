@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterwp.exact import GaussianRational
 from clusterwp.forms import forms_equal, reduce_to_chart, wp_form
@@ -33,6 +35,7 @@ from clusterwp.seeds import (
     Seed,
     acyclic_presentation,
     explore,
+    is_acyclic,
 )
 
 I = GaussianRational(0, 1)
@@ -293,6 +296,49 @@ def test_regularize_partner_names_are_fresh():
                         namer=lambda s, k: "x14")
     assert out.table.names == ("x13", "x14", "x15", "x14'", "x14'''")
     assert forms_equal(reduce_to_chart(out, A3), wp_form(A3))
+
+
+@st.composite
+def twin_named_seeds(draw):
+    """A skew-symmetrizable seed B = S D with 2-4 mutable variables and at
+    most one frozen column, named from twins such as x x' x'', and a set of
+    slots to vanish."""
+    m = draw(st.integers(2, 4))
+    n = m + draw(st.integers(0, 1))
+    d = [draw(st.integers(1, 2)) for _ in range(m)]
+    rows = [[0] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            s = draw(st.integers(-1, 1))
+            rows[i][j], rows[j][i] = s * d[j], -s * d[i]
+        for j in range(m, n):
+            rows[i][j] = draw(st.integers(-2, 2))
+    names = draw(st.permutations(["x", "x'", "x''", "x'''", "y"]))[:n]
+    seed = Seed.initial(ExchangeMatrix(m, n, tuple(map(tuple, rows))), names)
+    return seed, draw(st.sets(st.integers(1, m), min_size=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(twin_named_seeds())
+def test_partners_are_named_as_the_first_ring_of_explore(case):
+    # a seed's partners are the first ring of a walk from it: partner k is
+    # the name explore gives slot k of its k-th cluster, mu_k of the seed
+    seed, slots = case
+    m, rows = seed.matrix.m, seed.matrix.rows
+    ring = tuple(explore(seed, max_depth=1).seeds[k].names[k - 1]
+                 for k in range(1, m + 1))
+    if is_acyclic(seed.matrix):
+        assert acyclic_presentation(seed).primed_names == ring
+    # keep the slots regularize_at admits: rows skew-symmetric with their
+    # columns, no two vanishing slots exchange-adjacent
+    vanishing = []
+    for i in sorted(slots):
+        if (all(rows[i - 1][j] == -rows[j][i - 1] for j in range(m))
+                and not any(rows[i - 1][j - 1] for j in vanishing)):
+            vanishing.append(i)
+    if vanishing:
+        form = regularize_at(seed, VanishingPattern(seed, frozenset(vanishing)))
+        assert form.table.names[seed.matrix.n:] == tuple(ring[i - 1] for i in vanishing)
 
 
 def test_regularize_seed_pattern_mismatch():
