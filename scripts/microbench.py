@@ -6,7 +6,10 @@ Prints microseconds per call, the least over ``repeat`` timings, for
 non-integral values, and for ``LaurentPoly`` ``*`` and ``divide_exact`` on
 the Laurent expansions of a Markov exploration of 60 seeds (those of
 ``clusterwp explore markov --max-seeds 60``): each product multiplies two
-expansions met one after the other, each division undoes one product.
+expansions met one after the other, each square squares one expansion, and
+each division undoes one product.  The non-monic divisions divide by the
+second factor times 1+i, a leading coefficient that is no unit of the
+Gaussian integers, so the remainder is rescaled.
 
 Usage:  python3 scripts/microbench.py [--repeat N]
 """
@@ -49,7 +52,10 @@ def laurent_cases():
     expansions = list(explore(catalog("markov").seed, max_seeds=60).variables.values())
     pairs = list(zip(expansions, expansions[1:]))
     yield "laurent * markov-60", [partial(operator.mul, p, q) for p, q in pairs]
+    yield "laurent square markov-60", [partial(operator.mul, p, p) for p in expansions]
     yield "laurent divide_exact markov-60", [partial((p * q).divide_exact, q)
+                                             for p, q in pairs]
+    yield "laurent divide_exact non-monic", [partial((p * q).divide_exact, q * G(1, 1))
                                              for p, q in pairs]
 
 

@@ -189,6 +189,14 @@ def _reduced(a, b, d):
     return _make(a, b, d)
 
 
+def _gaussian_integers(values):
+    """``(pairs, d)``: each of ``values`` as a Gaussian integer ``(a, b)``
+    with value (a + b*i)/d, over one common denominator d > 0; ``_reduced``
+    is the way back."""
+    d = lcm(*(z._d for z in values))
+    return [(z._a * (d // z._d), z._b * (d // z._d)) for z in values], d
+
+
 def _coerce(value):
     """``value`` as a GaussianRational, or None if it is not an int,
     Fraction or GaussianRational; with ``GaussianRational.of``, the only

@@ -6,14 +6,24 @@ Representation choices that the rest of the package leans on:
   carries its table and cross-table arithmetic is an error, never a silent
   union.
 * Terms map dense exponent vectors (tuples of ints, negative allowed) to
-  nonzero Gaussian-rational coefficients.  The constructor prunes zero
-  coefficients, so emptiness <=> the zero polynomial.
+  nonzero Gaussian-rational coefficients, so emptiness <=> the zero
+  polynomial.  ``LaurentPoly(table, terms)`` is the one gate for values
+  from outside: it coerces every coefficient, prunes zeros and checks every
+  exponent width.  The results of ring operations (``+``, ``-``, ``*``,
+  ``**``, ``shifted``, ``partial``, ``divide_exact``) are built by the
+  trusted ``_trusted`` instead, which takes their terms as they are; an
+  operation that can cancel terms drops the zeros itself.
 * ``RationalFn`` is an unreduced num/den pair.  There is deliberately *no*
   multivariate gcd: equality is decided by cross-multiplication, and the
   only simplification ever applied is moving the denominator's monomial
   content into the numerator (so monomial denominators normalize to 1).
   Exact division exists for the one case the theory needs: deciding whether
-  a fraction is a Laurent polynomial.
+  a fraction is a Laurent polynomial.  It runs over Gaussian integers: the
+  remainder and the divisor are ``(a, b)`` pairs over one common
+  denominator each, the remainder is rescaled when a leading coefficient
+  does not divide exactly, and its grlex-leading term comes from a heap
+  with lazy deletion (after Monagan-Pearce, *Sparse polynomial division
+  using a heap*, J. Symb. Comp. 2011).
 * The monomial order is graded lexicographic in table order; it makes
   single-divisor exact division deterministic and terminating once the
   monomial content has been stripped.
@@ -22,9 +32,12 @@ Representation choices that the rest of the package leans on:
 from __future__ import annotations
 
 import re as _re
+from heapq import heapify, heappop, heappush
+from math import gcd
+from operator import add, sub
 from typing import Iterator, Mapping
 
-from clusterwp.exact import GaussianRational, _coerce
+from clusterwp.exact import GaussianRational, _coerce, _gaussian_integers, _reduced
 
 __all__ = [
     "DenominatorZero",
@@ -216,10 +229,8 @@ class LaurentPoly:
 
     def shifted(self, delta) -> "LaurentPoly":
         """Multiply by the monomial with exponent vector delta."""
-        return LaurentPoly(self.table, {
-            tuple(a + b for a, b in zip(exps, delta)): c
-            for exps, c in self.terms.items()
-        })
+        return _trusted(self.table, {
+            tuple(map(add, exps, delta)): c for exps, c in self.terms.items()})
 
     # -- ring operations -------------------------------------------------
 
@@ -237,8 +248,13 @@ class LaurentPoly:
         out = dict(self.terms)
         for exps, c in other.terms.items():
             s = out.get(exps)
-            out[exps] = c if s is None else s + c
-        return LaurentPoly(self.table, out)
+            if s is not None:
+                c = s + c
+            if c:
+                out[exps] = c
+            else:
+                del out[exps]
+        return _trusted(self.table, out)
 
     __radd__ = __add__
 
@@ -253,21 +269,35 @@ class LaurentPoly:
         return (-self) + other
 
     def __neg__(self):
-        return LaurentPoly(self.table, {e: -c for e, c in self.terms.items()})
+        return _trusted(self.table, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if (c := _coerce(other)) is not None:
-            return LaurentPoly(self.table, {e: v * c for e, v in self.terms.items()})
+            return _trusted(self.table, {e: v * c for e, v in self.terms.items()}
+                            if c else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._require_same(other)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key)
-                out[key] = c1 * c2 if s is None else s + c1 * c2
-        return LaurentPoly(self.table, out)
+        if other is self:
+            # a square forms each cross term once, in the order (and so
+            # with the term order) of the general product below
+            items = list(self.terms.items())
+            for i, (e1, c1) in enumerate(items):
+                for e2, c2 in items[i:]:
+                    key = tuple(map(add, e1, e2))
+                    c = c1 * c2
+                    if e2 is not e1:
+                        c = c + c
+                    s = out.get(key)
+                    out[key] = c if s is None else s + c
+        else:
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    key = tuple(map(add, e1, e2))
+                    s = out.get(key)
+                    out[key] = c1 * c2 if s is None else s + c1 * c2
+        return _trusted(self.table, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -280,16 +310,19 @@ class LaurentPoly:
                     "negative power of a non-monomial Laurent polynomial; "
                     "lift to RationalFn instead")
             (exps, coeff), = self.terms.items()
-            inv = LaurentPoly(self.table, {tuple(-e for e in exps): coeff.inverse()})
+            inv = _trusted(self.table, {tuple(-e for e in exps): coeff.inverse()})
             return inv ** (-exponent)
-        result = LaurentPoly.constant(self.table, 1)
-        base = self
-        e = exponent
+        if not exponent:
+            return LaurentPoly.constant(self.table, 1)
+        # as GaussianRational.__pow__: the first factor is the result
+        # unmultiplied, and base is squared only while bits remain
+        result, base, e = None, self, exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
+                result = base if result is None else result * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __truediv__(self, other):
@@ -311,15 +344,10 @@ class LaurentPoly:
     def partial(self, name: str) -> "LaurentPoly":
         """Formal partial derivative (term-wise power rule)."""
         k = self.table.index(name)
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[k]
-            if not e:
-                continue
-            key = exps[:k] + (e - 1,) + exps[k + 1:]
-            s = out.get(key)
-            out[key] = c * e if s is None else s + c * e
-        return LaurentPoly(self.table, out)
+        # distinct terms stay distinct, so nothing cancels
+        return _trusted(self.table, {
+            exps[:k] + (exps[k] - 1,) + exps[k + 1:]: c * exps[k]
+            for exps, c in self.terms.items() if exps[k]})
 
     def evaluate(self, values: Mapping[str, object]) -> GaussianRational:
         """Exact evaluation; distinct errors for the distinct failure modes."""
@@ -373,6 +401,14 @@ class LaurentPoly:
         polynomials where graded lex is a well-order; divisibility in the
         Laurent ring is equivalent to divisibility of the content-free
         parts, because a content-free polynomial has no variable factors.
+        Both parts become Gaussian integers over a common denominator each,
+        and their exponent vectors become ``_grlex_packing`` integers.  The
+        remainder r is ``scale * (num - quotient * den)``, where ``scale``
+        grows when a leading coefficient does not divide exactly, and its
+        leading term comes from a heap with lazy deletion: a cancelled
+        term's entry is skipped when it surfaces.  Every term the loop adds
+        is grlex below the leading term it cancels, so its degree stays
+        within the packing's base.
         """
         if (c := _coerce(den)) is not None:
             den = LaurentPoly.constant(self.table, c)
@@ -383,30 +419,57 @@ class LaurentPoly:
             return self
         cn = self.monomial_content()
         cd = den.monomial_content()
-        n = {tuple(a - b for a, b in zip(e, cn)): c for e, c in self.terms.items()}
-        d = {tuple(a - b for a, b in zip(e, cd)): c for e, c in den.terms.items()}
-        ld = max(d, key=_grlex)
-        dl = d[ld]
-        q = {}
-        r = n
-        while r:
-            lr = max(r, key=_grlex)
-            diff = tuple(a - b for a, b in zip(lr, ld))
-            if any(x < 0 for x in diff):
+        n_exps = [tuple(map(sub, e, cn)) for e in self.terms]
+        d_exps = [tuple(map(sub, e, cd)) for e in den.terms]
+        pack, unpack = _grlex_packing(n_exps + d_exps)
+        n_pairs, num_scale = _gaussian_integers(self.terms.values())
+        d_pairs, den_scale = _gaussian_integers(den.terms.values())
+        r = dict(zip(map(pack, n_exps), n_pairs))
+        d = dict(zip(map(pack, d_exps), d_pairs))
+        ld = max(d)
+        ld_exps = unpack(ld)
+        la, lb = d.pop(ld)
+        norm = la * la + lb * lb
+        rest = list(d.items())
+        heap = [-t for t in r]      # negated, so the least entry leads
+        heapify(heap)
+        q = []      # (quotient exponent, Gaussian integer, scale)
+        scale = 1
+        while heap:
+            lr = -heappop(heap)
+            coeff = r.pop(lr, None)
+            if coeff is None:
+                continue
+            diff_exps = tuple(map(sub, unpack(lr), ld_exps))
+            if min(diff_exps, default=0) < 0:
                 raise NotDivisible(
                     f"{self.to_expr()} is not divisible by {den.to_expr()}")
-            c = r[lr] / dl
-            q[diff] = c
-            for de, dc in d.items():
-                key = tuple(a + b for a, b in zip(diff, de))
-                s = r.get(key)
-                s = -(c * dc) if s is None else s - c * dc
-                if s:
-                    r[key] = s
+            diff = lr - ld
+            ra, rb = coeff
+            ua, ub = ra * la + rb * lb, rb * la - ra * lb   # coeff * conj(lead)
+            if ua % norm or ub % norm:
+                f = norm // gcd(ua, ub, norm)
+                scale *= f
+                ua, ub = ua * f, ub * f
+                r = {t: (a * f, b * f) for t, (a, b) in r.items()}
+            ga, gb = ua // norm, ub // norm
+            q.append((diff_exps, ga, gb, scale))
+            for t, (a, b) in rest:
+                key = diff + t
+                pa, pb = ga * a - gb * b, ga * b + gb * a
+                old = r.get(key)
+                if old is None:
+                    r[key] = (-pa, -pb)
+                    heappush(heap, -key)
+                elif old[0] != pa or old[1] != pb:
+                    r[key] = (old[0] - pa, old[1] - pb)
                 else:
-                    r.pop(key, None)
-        shift = tuple(a - b for a, b in zip(cn, cd))
-        return LaurentPoly(self.table, q).shifted(shift)
+                    del r[key]
+        shift = tuple(map(sub, cn, cd))
+        return _trusted(self.table, {
+            tuple(map(add, shift, diff_exps)): _reduced(
+                ga * den_scale, gb * den_scale, s * num_scale)
+            for diff_exps, ga, gb, s in q})
 
     # -- conversions -----------------------------------------------------
 
@@ -457,6 +520,39 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"<LaurentPoly {self.to_expr()} over {self.table.names}>"
+
+
+def _trusted(table: VarTable, terms: dict) -> LaurentPoly:
+    """A LaurentPoly over ``terms`` as given, for the results of ring
+    operations: nonzero GaussianRational coefficients on exponent tuples of
+    the table's width, which ``LaurentPoly(table, terms)`` would re-check."""
+    poly = object.__new__(LaurentPoly)
+    poly.table = table
+    poly.terms = terms
+    return poly
+
+
+def _grlex_packing(vectors: list) -> tuple:
+    """``(pack, unpack)`` between exponent vectors of nonnegative entries and
+    integers: ``e`` packs to the integer with the digits ``sum(e), e_1, ...,
+    e_n`` in a base above the largest entry sum among ``vectors``.  For
+    vectors with entry sums up to that one, packed keys add as the vectors
+    do and compare as grlex does."""
+    base = 1 + max(map(sum, vectors))
+    width = len(vectors[0])
+
+    def pack(e):
+        key = sum(e)
+        for x in e:
+            key = key * base + x
+        return key
+
+    def unpack(key):
+        e = [0] * width
+        for i in range(width - 1, -1, -1):
+            key, e[i] = divmod(key, base)
+        return tuple(e)
+    return pack, unpack
 
 
 def _gaussian_expr(c: GaussianRational) -> str:

@@ -81,16 +81,21 @@ class ExchangeMatrix:
         """A matrix mutated from a validated one, built without validation:
         mutation keeps the skew-symmetrizer (Fomin-Zelevinsky, *Cluster
         algebras I*, Prop. 4.5)."""
-        matrix = object.__new__(cls)
-        for name, value in (("m", m), ("n", n), ("rows", rows)):
-            object.__setattr__(matrix, name, value)
-        return matrix
+        return _unchecked(cls, m, n, rows)
 
     def b(self, i, j):
         """Entry B_ij with 1-based indices (row i mutable, column j any)."""
         if not (1 <= i <= self.m and 1 <= j <= self.n):
             raise IndexError(f"B_{i}{j} out of range for {self.m}x{self.n}")
         return self.rows[i - 1][j - 1]
+
+
+def _unchecked(cls, *values):
+    """An instance of the frozen dataclass ``cls`` with ``values`` as its
+    fields in order, built past ``__init__`` and its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def find_skew_symmetrizer(matrix):
@@ -133,35 +138,35 @@ def find_skew_symmetrizer(matrix):
     return tuple(d)
 
 
-def _mutated_rows(rows, k):
-    """Integer rows of an exchange matrix (one per mutable slot, any number
-    of columns) mutated in direction k, 1-based: row k is negated, and
-    B'_ij = B_ij + |B_ik| [B_kj]_+ if B_ik > 0, B_ij + |B_ik| [B_kj]_- if
-    B_ik < 0, with column k negated."""
+def mutate_matrix(matrix, k):
+    """Matrix mutation in direction k (1-based, mutable): row k is negated,
+    and B'_ij = B_ij + |B_ik| [B_kj]_+ if B_ik > 0, B_ij + |B_ik| [B_kj]_-
+    if B_ik < 0, with column k negated."""
+    rows = matrix.rows
     if not (1 <= k <= len(rows)):
         raise ValueError(f"mutation direction {k} not in 1..{len(rows)}")
     kk = k - 1
     pivot = rows[kk]
-    positive = [max(b, 0) for b in pivot]
-    negative = [min(b, 0) for b in pivot]
     out = []
     for i, row in enumerate(rows):
         bik = row[kk]
         if i == kk:
-            row = tuple(-b for b in row)
+            row = tuple([-b for b in row])
         elif bik:   # a row with B_ik = 0 is unchanged
-            part, aik = (positive, bik) if bik > 0 else (negative, -bik)
-            row = [b + aik * p for b, p in zip(row, part)]
+            row = _mutated_row(row, pivot, bik)
             row[kk] = -bik
             row = tuple(row)
         out.append(row)
-    return tuple(out)
+    return ExchangeMatrix._mutation_of_valid(matrix.m, matrix.n, tuple(out))
 
 
-def mutate_matrix(matrix, k):
-    """Matrix mutation in direction k (1-based, mutable)."""
-    return ExchangeMatrix._mutation_of_valid(
-        matrix.m, matrix.n, _mutated_rows(matrix.rows, k))
+def _mutated_row(row, pivot, bik):
+    """``row`` plus |bik| times the part of ``pivot`` of the sign of bik,
+    as a list: the mutation of a matrix row (but for its column k) or of a
+    c-vector, whose matrix row has B_ik = bik != 0."""
+    if bik > 0:
+        return [b + bik * p if p > 0 else b for b, p in zip(row, pivot)]
+    return [b - bik * p if p < 0 else b for b, p in zip(row, pivot)]
 
 
 def prime_toggle(name):
@@ -206,25 +211,29 @@ def _partner_names(seed, namer):
     return tuple(name(seed, i) for i in range(1, seed.matrix.m + 1))
 
 
-def _exchange_binomial(row, factors, table):
+def _exchange_binomial(row, power, table):
     """Sum of the two exchange monomials for one matrix row.
 
-    ``factors[j]`` supplies the object to raise to the j-th power; works for
-    both expansion polynomials and fresh chart variables."""
-    pos = LaurentPoly.constant(table, 1)
-    neg = LaurentPoly.constant(table, 1)
+    ``power(j, e)`` is the j-th factor to the power e > 0; works for both
+    expansion polynomials and fresh chart variables.  A monomial with no
+    factor is 1."""
+    pos = neg = None
     for j, b in enumerate(row):
         if b > 0:
-            pos = pos * factors[j] ** b
+            pos = power(j, b) if pos is None else pos * power(j, b)
         elif b < 0:
-            neg = neg * factors[j] ** (-b)
-    return pos + neg
+            neg = power(j, -b) if neg is None else neg * power(j, -b)
+    one = LaurentPoly.constant(table, 1)
+    return (one if pos is None else pos) + (one if neg is None else neg)
 
 
-def _exchange_partner(matrix, k, factors, table):
-    """x_k' = P_k / x_k: the exchange binomial of row k over the replaced
-    variable ``factors[k-1]``.  Raises NotLaurent if that is not Laurent."""
-    binomial = _exchange_binomial(matrix.rows[k - 1], factors, table)
+def _exchange_partner(matrix, k, factors, table, power=None):
+    """x_k' = P_k / x_k: the exchange binomial of row k over ``factors``,
+    divided by the replaced variable ``factors[k-1]``; ``power(j, e)``, by
+    default ``factors[j] ** e``, may hand out powers computed before.
+    Raises NotLaurent if that is not Laurent."""
+    binomial = _exchange_binomial(matrix.rows[k - 1],
+                                  power or (lambda j, e: factors[j] ** e), table)
     return (binomial / factors[k - 1]).as_laurent()
 
 
@@ -242,7 +251,7 @@ class Seed:
 
     @classmethod
     def initial(cls, matrix, names):
-        names = tuple(names)
+        names = VarTable(names).names   # valid and distinct, or ValueError
         if len(names) != matrix.n:
             raise ValueError(f"expected {matrix.n} names, got {len(names)}")
         m, n = matrix.m, matrix.n
@@ -267,16 +276,21 @@ class Seed:
         """Seed mutation in direction k; the replaced variable is renamed
         ``new_name``, by default ``prime_namer(self, k)``.  The c-vectors
         mutate as m extra matrix columns."""
-        n = self.matrix.n
-        rows = _mutated_rows(tuple(
-            row + c for row, c in zip(self.matrix.rows, self.cvectors)), k)
-        names = list(self.names)
-        names[k - 1] = new_name if new_name is not None else prime_namer(self, k)
-        gvectors = list(self.gvectors)
-        gvectors[k - 1] = self._partner_gvector(k)
-        return Seed(ExchangeMatrix._mutation_of_valid(
-                        self.matrix.m, n, tuple(row[:n] for row in rows)),
-                    tuple(names), tuple(gvectors), tuple(row[n:] for row in rows))
+        matrix = mutate_matrix(self.matrix, k)
+        kk = k - 1
+        pivot = self.cvectors[kk]
+        cvectors = []
+        for i, (row, c) in enumerate(zip(self.matrix.rows, self.cvectors)):
+            if i == kk:
+                c = tuple([-x for x in c])
+            elif row[kk]:
+                c = tuple(_mutated_row(c, pivot, row[kk]))
+            cvectors.append(c)
+        if new_name is None:
+            new_name = prime_namer(self, k)
+        return _unchecked(Seed, matrix, self.names[:kk] + (new_name,) + self.names[k:],
+                          self.gvectors[:kk] + (self._partner_gvector(k),)
+                          + self.gvectors[k:], tuple(cvectors))
 
     def cluster_key(self):
         """Order-free identity of the cluster: its sorted g-vectors."""
@@ -340,8 +354,8 @@ def _walk(seed, max_depth, name=None):
             if key in seen:
                 continue
             seen.add(key)
-            t = Seed(t.matrix, t.names[:k - 1] + (name(s, k),) + t.names[k:],
-                     t.gvectors, t.cvectors)
+            t = _unchecked(Seed, t.matrix, t.names[:k - 1] + (name(s, k),) + t.names[k:],
+                           t.gvectors, t.cvectors)
             queue.append((t, depth + 1))
             yield t, depth + 1
 
@@ -393,7 +407,8 @@ def acyclic_presentation(seed, namer=prime_namer):
     gens = [LaurentPoly.variable(table, nm) for nm in seed.names]
     relations = []
     for i in range(m):
-        binomial = _exchange_binomial(seed.matrix.rows[i], gens, table)
+        binomial = _exchange_binomial(seed.matrix.rows[i], lambda j, e: gens[j] ** e,
+                                      table)
         partner = LaurentPoly.variable(table, primed_names[i])
         relations.append(gens[i] * partner - binomial)
     return Presentation(seed.names, primed_names, seed.names[m:], table,
@@ -421,8 +436,9 @@ class Exploration:
     to its expansion in the first seed's chart, in order of first discovery;
     it is computed on first read.  A new variable must sit in a slot k of a
     seed that is mu_k of an earlier seed; its expansion is the exchange
-    partner there, one exact division.  ``truncated`` records whether the
-    search stopped before exhausting the mutation graph."""
+    partner there, one exact division, and each power of an expansion that
+    the exchange binomials need is formed once.  ``truncated`` records
+    whether the search stopped before exhausting the mutation graph."""
 
     def __init__(self, seeds, truncated):
         self.seeds = tuple(seeds)
@@ -457,10 +473,18 @@ class Exploration:
     def variables(self):
         table = self.seeds[0].chart()
         variables = {nm: LaurentPoly.variable(table, nm) for nm in self.seeds[0].names}
+        powers = {}     # (name, exponent) -> that power of the variable's expansion
         for name, parent, k in self._new:
-            factors = [variables[self._names[h]] for h in parent.gvectors]
+            names = [self._names[h] for h in parent.gvectors]
+
+            def power(j, e):
+                key = (names[j], e)
+                if key not in powers:
+                    powers[key] = variables[names[j]] ** e
+                return powers[key]
             try:
-                variables[name] = _exchange_partner(parent.matrix, k, factors, table)
+                variables[name] = _exchange_partner(
+                    parent.matrix, k, [variables[nm] for nm in names], table, power)
             except NotLaurent as exc:   # pragma: no cover - Laurent phenomenon
                 raise MutationArithmeticError(f"{name} is not Laurent") from exc
         return variables

@@ -2,6 +2,9 @@
 
 Frozen expectations were derived by hand and cross-checked numerically; the
 sympy oracle tests re-derive division verdicts and products independently.
+The field loop that ``divide_exact`` replaced, one ``max`` per step over
+Q(i) coefficients, stays here as ``reference_divide_exact``, the oracle of
+its quotients and verdicts.
 """
 
 from fractions import Fraction
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from clusterwp.exact import GaussianRational
 from clusterwp.laurent import (
+    _grlex,
     DenominatorZero,
     Inhomogeneous,
     LaurentPoly,
@@ -86,6 +90,42 @@ def test_monomial_content():
     assert f.monomial_content() == (2, -1)
 
 
+def _assert_well_formed(poly, table):
+    """What ``LaurentPoly(table, terms)`` would enforce, and the results of
+    ring operations skip: no zero coefficient, exponent vectors of the
+    table's width, GaussianRational coefficients."""
+    assert poly.table == table
+    for exps, c in poly.terms.items():
+        assert type(exps) is tuple and len(exps) == len(table)
+        assert all(type(e) is int for e in exps)
+        assert type(c) is GaussianRational and c
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_ring_results_are_well_formed(data):
+    f = data.draw(random_polys(T2))
+    g = data.draw(random_polys(T2))
+    d = data.draw(divisors(T2))
+    c = data.draw(st.sampled_from([0, 2, Fraction(-1, 3), G(0, 1)]))
+    e = data.draw(st.integers(0, 4))
+    results = [f + g, f - g, -f, f - f, f + c, f * g, f * c, f * f, f ** e,
+               f.partial("x0"), f.partial("x1"), f.shifted((1, -2)),
+               (f * d).divide_exact(d), (f * d).divide_exact(c or 5)]
+    if f.is_monomial():
+        results.append(f ** -e)
+    for poly in results:
+        _assert_well_formed(poly, T2)
+    twin = LaurentPoly(T2, dict(f.terms))
+    assert twin is not f and f * f == f * twin
+
+
+def test_cancelled_terms_are_dropped():
+    i = G(0, 1)
+    square = (X0 + i) * (X0 - i)
+    assert square == X0 ** 2 + 1 and len(square.terms) == 2
+
+
 # ---------------------------------------------------------------------------
 # exact division
 # ---------------------------------------------------------------------------
@@ -124,6 +164,72 @@ def test_divide_round_trip(data):
     f = data.draw(random_polys(T2))
     g = data.draw(random_polys(T2).filter(lambda p: not p.is_zero))
     assert (f * g).divide_exact(g) == f
+
+
+def test_divide_exact_rescales_the_remainder():
+    # over Gaussian integers these leading coefficients do not divide the
+    # remainder's, so the remainder is rescaled; the census workload never
+    # gets here
+    assert (X0 + 1).divide_exact(2 * X0 + 2) == G(Fraction(1, 2)) * ONE2
+    assert (X0 + 1).divide_exact(G(1, 1) * X0 + G(1, 1)) == \
+        G(Fraction(1, 2), Fraction(-1, 2)) * ONE2
+    f = G(Fraction(1, 3), 2) * X0 * X1 ** -1 + G(0, -1) * X1 + 5
+    g = G(1, 1) * X0 ** 2 + 3 * X1 + G(Fraction(1, 3))
+    assert (f * g).divide_exact(2 * g) == f * G(Fraction(1, 2))
+
+
+def reference_divide_exact(num, den):
+    """The field loop ``divide_exact`` replaced: strip the monomial
+    content, then one ``max`` per step finds the remainder's grlex-leading
+    term, with Q(i) coefficients throughout."""
+    if den.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if num.is_zero:
+        return num
+    cn = num.monomial_content()
+    cd = den.monomial_content()
+    n = {tuple(a - b for a, b in zip(e, cn)): c for e, c in num.terms.items()}
+    d = {tuple(a - b for a, b in zip(e, cd)): c for e, c in den.terms.items()}
+    ld = max(d, key=_grlex)
+    dl = d[ld]
+    q = {}
+    r = n
+    while r:
+        lr = max(r, key=_grlex)
+        diff = tuple(a - b for a, b in zip(lr, ld))
+        if any(x < 0 for x in diff):
+            raise NotDivisible(f"{num.to_expr()} is not divisible by {den.to_expr()}")
+        c = r[lr] / dl
+        q[diff] = c
+        for de, dc in d.items():
+            key = tuple(a + b for a, b in zip(diff, de))
+            s = r.get(key)
+            s = -(c * dc) if s is None else s - c * dc
+            if s:
+                r[key] = s
+            else:
+                r.pop(key, None)
+    shift = tuple(a - b for a, b in zip(cn, cd))
+    return LaurentPoly(num.table, q).shifted(shift)
+
+
+def _outcome(divide, num, den):
+    """The quotient's terms in order, or the NotDivisible message."""
+    try:
+        return list(divide(num, den).terms.items())
+    except NotDivisible as exc:
+        return str(exc)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_divide_exact_matches_the_field_loop(data):
+    table = data.draw(st.sampled_from([T2, T3]))
+    f = data.draw(random_polys(table))
+    g = data.draw(divisors(table))
+    num = data.draw(st.sampled_from([f * g, f * g + f, f, f * g * g]))
+    assert _outcome(LaurentPoly.divide_exact, num, g) == \
+        _outcome(reference_divide_exact, num, g)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +475,29 @@ def test_not_divisible_verdict_matches_sympy():
 # strategies
 # ---------------------------------------------------------------------------
 
+T3 = VarTable(("x0", "x1", "x2"))
+
+_PARTS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
 def random_polys(table):
-    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4).map(G)
+    """Up to four terms with Gaussian-rational coefficients, about half of
+    them with a nonzero imaginary part."""
+    coeffs = st.one_of(_PARTS.map(G), st.builds(G, _PARTS, _PARTS))
     exps = st.tuples(*[st.integers(min_value=-3, max_value=3)] * len(table))
     term = st.tuples(exps, coeffs)
     return st.lists(term, min_size=0, max_size=4).map(
         lambda items: LaurentPoly(table, dict(items))
     )
+
+
+def divisors(table):
+    """Nonzero polynomials whose grlex-leading coefficient is often not a
+    unit of the Gaussian integers, such as 2, 1+i or 1/3."""
+    lead = st.sampled_from([G(1), G(2), G(1, 1), G(Fraction(1, 3)), G(3, -2), G(0, 2)])
+
+    def with_lead(poly, c):
+        terms = dict(poly.terms)
+        terms[poly.leading_exponents()] = c
+        return LaurentPoly(table, terms)
+    return st.builds(with_lead, random_polys(table).filter(bool), lead)

@@ -419,6 +419,41 @@ def test_explore_names_are_fresh_in_the_exploration():
     assert e.n_variables == 5 and not e.truncated
 
 
+def test_initial_seed_rejects_repeated_names():
+    # one name for two variables would let explore walk with it
+    with pytest.raises(ValueError, match="duplicate variable name: 'x'"):
+        Seed.initial(ExchangeMatrix(2, 2, ((0, 1), (-1, 0))), ("x", "x"))
+
+
+def _monomial(variables, factors, table):
+    out = LaurentPoly.constant(table, 1)
+    for name, e in factors:
+        for _ in range(e):
+            out = out * variables[name]
+    return out
+
+
+@pytest.mark.parametrize("seed,max_seeds", [
+    (catalog("markov").seed, 60), (catalog("affine-a11").seed, 40),
+    (parse_seed_file((Path(__file__).parent / "golden" / "g2-frozen.seed").read_text()),
+     1000),
+], ids=["markov-60", "affine-a11", "g2-frozen"])
+def test_exchange_relations_hold_over_the_expansions(seed, max_seeds):
+    # powers are computed once per exploration and reused; every relation
+    # x_k * x_k' = P_k, with P_k's powers formed by repeated products
+    # instead, holds exactly (g2-frozen has exponent 3 and frozen factors)
+    e = explore(seed, max_seeds=max_seeds)
+    variables, table = e.variables, e.seeds[0].chart()
+    checked = 0
+    for rel in e.relations():
+        if rel.partner is None:
+            continue
+        assert variables[rel.var] * variables[rel.partner] == (
+            _monomial(variables, rel.pos, table) + _monomial(variables, rel.neg, table))
+        checked += 1
+    assert checked >= len(e.seeds)
+
+
 @pytest.mark.parametrize("search", [
     explore,
     find_acyclic_seed,
