@@ -9,7 +9,10 @@ the Laurent expansions of a Markov exploration of 60 seeds (those of
 expansions met one after the other, each square squares one expansion, and
 each division undoes one product.  The non-monic divisions divide by the
 second factor times 1+i, a leading coefficient that is no unit of the
-Gaussian integers, so the remainder is rescaled.
+Gaussian integers, so the remainder is rescaled.  ``propagate_point`` runs
+on the full A_5 exploration (132 clusters, 660 exchange relations) from one
+fixed Q(i) point of its first chart, and ``verify_point`` on the point it
+propagates to.
 
 Usage:  python3 scripts/microbench.py [--repeat N]
 """
@@ -20,7 +23,16 @@ import time
 from fractions import Fraction
 from functools import partial
 
-from clusterwp import GaussianRational, catalog, explore
+from clusterwp import (
+    AlgebraPoint,
+    ExchangeMatrix,
+    GaussianRational,
+    Seed,
+    catalog,
+    explore,
+    propagate_point,
+    verify_point,
+)
 
 G = GaussianRational
 
@@ -59,8 +71,18 @@ def laurent_cases():
                                              for p, q in pairs]
 
 
+def point_cases():
+    rows = tuple(tuple((j == i + 1) - (j == i - 1) for j in range(5)) for i in range(5))
+    names = ("a", "b", "c", "d", "e")
+    a5 = explore(Seed.initial(ExchangeMatrix(5, 5, rows), names))
+    start = AlgebraPoint(dict(zip(names, (G(2), G(1, 1), G(Fraction(-1, 2)), G(3), G(0, 5)))), a5)
+    full, _ = propagate_point(start, a5)
+    yield "regularity propagate_point a5", [partial(propagate_point, start, a5)] * 20
+    yield "regularity verify_point a5", [partial(verify_point, full)] * 20
+
+
 def main(repeat=5):
-    for label, calls in [*scalar_cases(), *laurent_cases()]:
+    for label, calls in [*scalar_cases(), *laurent_cases(), *point_cases()]:
         print(f"{label:34s} {per_call_us(calls, repeat):10.2f} us/call")
 
 

@@ -87,8 +87,18 @@ def _resolve_seed(token):
     return parse_seed_file(text, token), prime_namer, None
 
 
-def _load_point(path):
-    return parse_point_file(_read_file(path), path)
+def _load_point(path, known=None):
+    """A point file's assignment; with ``known``, a name outside it is a
+    usage error naming the first such name in file order."""
+    values = parse_point_file(_read_file(path), path)
+    unknown = [] if known is None else [name for name in values if name not in known]
+    if unknown:
+        raise _UsageError(f"{path}: unknown variable {unknown[0]}")
+    return values
+
+
+def _cluster_names(exploration):
+    return {name for s in exploration.seeds for name in s.names}
 
 
 def _emit_point(point):
@@ -261,9 +271,12 @@ def _cmd_regularize(args):
 
 
 def _cmd_tangent(args):
-    seed, namer, _ = _resolve_seed(args.seed)
+    seed, namer, entry = _resolve_seed(args.seed)
     pres = acyclic_presentation(seed, namer)
-    values = _load_point(args.point)
+    known = set(pres.table.names)
+    if entry is not None:   # a catalog point may also name the entry's other variables
+        known |= _cluster_names(entry.exploration)
+    values = _load_point(args.point, known)
     point = AlgebraPoint(values, pres)
     try:
         dim = tangent_dimension(pres, point)
@@ -305,7 +318,7 @@ def _cmd_deep(args):
         if args.max_seeds is None:
             raise _UsageError("--max-seeds is required for file seeds")
         exploration = explore(seed, max_seeds=args.max_seeds)
-    values = _load_point(args.point)
+    values = _load_point(args.point, _cluster_names(exploration))
     point = AlgebraPoint(values, exploration)
     full, issues = propagate_point(point, exploration)
     if issues:

@@ -66,14 +66,27 @@ class AlgebraPoint:
 
 
 def _exchange_value(rel, a):
-    """P = P+ + P- of an exchange relation at the assignment ``a``, or None
-    if a factor is unassigned."""
+    """P = P+ + P- of an exchange relation at an assignment ``a`` that
+    assigns every factor."""
     one = GaussianRational.of(1)
-    try:
-        return (prod([a[name] ** e for name, e in rel.pos], start=one)
-                + prod([a[name] ** e for name, e in rel.neg], start=one))
-    except KeyError:
-        return None
+    return (prod([a[name] ** e for name, e in rel.pos], start=one)
+            + prod([a[name] ** e for name, e in rel.neg], start=one))
+
+
+def _binomial_values(a):
+    """``value(rel)``: P of ``rel`` at the assignment ``a``, or None while a
+    factor is unassigned.  Each binomial is evaluated once, when all of its
+    factors are first assigned; ``a`` may grow but never reassigns a name,
+    so a stored value stays valid for every relation that shares it."""
+    memo = {}
+
+    def value(rel):
+        v = memo.get(rel.binomial)
+        if v is None and all(name in a for factors in (rel.pos, rel.neg)
+                             for name, _ in factors):
+            v = memo[rel.binomial] = _exchange_value(rel, a)
+        return v
+    return value
 
 
 def _factor_text(factors):
@@ -91,7 +104,9 @@ def _relation_text(rel):
 def verify_point(point):
     """All violated, fully-evaluable constraints of the point's context:
     exchange relations that fail to hold and frozen variables assigned zero.
-    Empty list means valid."""
+    Empty list means valid.  Over an exploration each exchange binomial P
+    is evaluated at most once and each product f*f' formed once, however
+    many relations share them; the issues keep the relations' order."""
     if point.context is None:
         raise ValueError("point has no relation context to verify against")
     issues = []
@@ -101,20 +116,25 @@ def verify_point(point):
         if v is not None and not v:
             issues.append(f"frozen variable {name} must be nonzero")
     if isinstance(point.context, Presentation):
+        assigned = set(a)
         for rel in point.context.relations:
-            if not rel.variables_used() <= set(a):
+            if not rel.variables_used() <= assigned:
                 continue
             value = rel.evaluate(a)
             if value:
                 issues.append(f"{rel.to_expr()} = {value}")
     else:
+        value = _binomial_values(a)
+        products = {}   # (f, f') -> f*f'
         for rel in point.context.relations():
             if rel.partner is None or rel.var not in a or rel.partner not in a:
                 continue
-            rhs = _exchange_value(rel, a)
+            rhs = value(rel)
             if rhs is None:
                 continue
-            lhs = a[rel.var] * a[rel.partner]
+            lhs = products.get((rel.var, rel.partner))
+            if lhs is None:
+                lhs = products[rel.var, rel.partner] = a[rel.var] * a[rel.partner]
             if lhs != rhs:
                 issues.append(f"{_relation_text(rel)} violated: {lhs} != {rhs}")
     return issues
@@ -125,7 +145,14 @@ def propagate_point(point, exploration):
 
     A relation f*f' = P with f assigned nonzero and P evaluable determines
     f' = P/f; with f = 0 it only demands P = 0.  Returns the extended point
-    and a list of inconsistencies (conflicting or violated relations)."""
+    and a list of inconsistencies (conflicting or violated relations).
+
+    Each pass visits the relations in ``exploration.relations()`` order and
+    passes repeat until one assigns nothing.  Each exchange binomial P is
+    evaluated at most once per call and each P/f formed once, and a relation
+    leaves later passes once f and P are known: running it again could
+    assign nothing and report nothing new.  The assignment's order and the
+    issues are those of re-running every relation in every pass."""
     a = dict(point.assignment)
     issues = []
     reported = set()
@@ -135,16 +162,18 @@ def propagate_point(point, exploration):
             reported.add(key)
             issues.append(text)
 
-    rels = exploration.relations()
+    value = _binomial_values(a)
+    quotients = {}  # (binomial, f) -> P/f
+    live = exploration.relations()
     changed = True
     while changed:
         changed = False
-        for rel in rels:
+        waiting = []
+        for rel in live:
             fv = a.get(rel.var)
-            if fv is None:
-                continue
-            rhs = _exchange_value(rel, a)
+            rhs = None if fv is None else value(rel)
             if rhs is None:
+                waiting.append(rel)
                 continue
             if not fv:
                 if rhs:
@@ -154,7 +183,9 @@ def propagate_point(point, exploration):
                 continue
             if rel.partner is None:
                 continue
-            val = rhs * fv.inverse()
+            val = quotients.get((rel.binomial, rel.var))
+            if val is None:
+                val = quotients[rel.binomial, rel.var] = rhs * fv.inverse()
             cur = a.get(rel.partner)
             if cur is None:
                 a[rel.partner] = val
@@ -163,6 +194,7 @@ def propagate_point(point, exploration):
                 report(("conflict", rel.partner),
                        f"{rel.partner} = {cur} conflicts with "
                        f"{_relation_text(rel)} giving {val}")
+        live = waiting
     return AlgebraPoint(a, exploration), issues
 
 

@@ -418,8 +418,10 @@ def acyclic_presentation(seed, namer=prime_namer):
 @dataclass(frozen=True)
 class ExchangeRelation:
     """One mutation step recorded against an exploration: the variable
-    replaced, its partner's name (if the exploration reached it), and the two
-    exchange monomials as (name, exponent) factor lists."""
+    replaced, its partner's name (if the exploration reached it), the two
+    exchange monomials as (name, exponent) factor lists, and ``binomial``,
+    the number of P+ + P- among the exploration's distinct binomials in
+    order of first appearance: both directions of an edge share it."""
 
     seed_index: int
     direction: int
@@ -427,6 +429,7 @@ class ExchangeRelation:
     partner: str
     pos: tuple
     neg: tuple
+    binomial: int
 
 
 class Exploration:
@@ -498,14 +501,17 @@ class Exploration:
         order and directions ascending."""
         if self._relations is None:
             rels = []
+            binomials = {}  # unordered pair of factor sets -> its number
             for idx, s in enumerate(self.seeds):
                 for k in range(1, s.matrix.m + 1):
                     row = s.matrix.rows[k - 1]
                     pos = tuple((s.names[j], b) for j, b in enumerate(row) if b > 0)
                     neg = tuple((s.names[j], -b) for j, b in enumerate(row) if b < 0)
+                    key = frozenset((frozenset(pos), frozenset(neg)))
                     rels.append(ExchangeRelation(
                         idx, k, s.names[k - 1],
-                        self._names.get(s._partner_gvector(k)), pos, neg))
+                        self._names.get(s._partner_gvector(k)), pos, neg,
+                        binomials.setdefault(key, len(binomials))))
             self._relations = rels
         return self._relations
 

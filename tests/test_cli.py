@@ -611,6 +611,17 @@ def test_tangent_needs_full_assignment(capsys, tmp_path):
     assert "unassigned generator" in err
 
 
+def test_tangent_rejects_an_unknown_name(capsys, tmp_path):
+    # the catalog point names all nine diagonals, six of them generators;
+    # a name no variable of the entry carries is a usage error
+    point = _write(capsys, tmp_path, "p.point",
+                   "catalog", "a3", "--point", "deep")
+    with open(point, "a") as handle:
+        handle.write("zzz = 3\nyyy = 1\n")
+    rc, out, err = run(capsys, "tangent", "a3", "--point", point)
+    assert (rc, out, err) == (2, "", f"error: {point}: unknown variable zzz\n")
+
+
 def test_tangent_cyclic_chart_fails(capsys, tmp_path):
     path = tmp_path / "p.point"
     path.write_text("x1 = 0\n")
@@ -725,6 +736,14 @@ def test_deep_file_seed_does_no_exchange_divisions(capsys, tmp_path, monkeypatch
 def test_negative_budgets_are_usage_errors(capsys, argv, flag):
     rc, out, err = run(capsys, *argv)
     assert (rc, out, err) == (2, "", f"error: {flag} must not be negative\n")
+
+
+def test_deep_rejects_an_unknown_name(capsys, tmp_path):
+    # a3's variables name no cluster of the Markov exploration
+    path = tmp_path / "a3.point"
+    path.write_text("x13 = 1\nx14 = 1\nx15 = 1\n")
+    rc, out, err = run(capsys, "deep", "markov", "--point", str(path))
+    assert (rc, out, err) == (2, "", f"error: {path}: unknown variable x13\n")
 
 
 def test_deep_inconsistent_point_rejected(capsys, tmp_path):

@@ -1,11 +1,16 @@
 """Points, propagation, vanishing patterns, regularization, tangent spaces."""
 
+import functools
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterwp import regularity as regularity_module
+from clusterwp.catalog import catalog
 from clusterwp.exact import GaussianRational
 from clusterwp.forms import forms_equal, reduce_to_chart, wp_form
 from clusterwp.laurent import VarTable
@@ -15,6 +20,7 @@ from clusterwp.regularity import (
     NoForcedSuccessor,
     PointFileError,
     VanishingPattern,
+    _relation_text,
     adjacent_vanishing_pair,
     constant_vanishing_oracle,
     deep_witness,
@@ -32,10 +38,13 @@ from clusterwp.seeds import (
     ExchangeMatrix,
     Exploration,
     NotFoundWithinBudget,
+    Presentation,
     Seed,
     acyclic_presentation,
+    emit_seed_file,
     explore,
     is_acyclic,
+    parse_seed_file,
 )
 
 I = GaussianRational(0, 1)
@@ -135,6 +144,198 @@ def test_propagate_zero_requires_zero_product():
     q, issues = propagate_point(p, e)
     assert issues
     assert any("x3" in line or "x4" in line for line in issues)
+
+
+# ---------------------------------------------------------------------------
+# propagation and verification against the relation-by-relation loops
+# ---------------------------------------------------------------------------
+
+def _reference_value(rel, a):
+    one = GaussianRational.of(1)
+    try:
+        return (prod([a[name] ** e for name, e in rel.pos], start=one)
+                + prod([a[name] ** e for name, e in rel.neg], start=one))
+    except KeyError:
+        return None
+
+
+def reference_verify_point(point):
+    """verify_point as a plain loop: every relation evaluated on its own."""
+    if point.context is None:
+        raise ValueError("point has no relation context to verify against")
+    issues = []
+    a = point.assignment
+    for name in point.context.frozen_names:
+        v = a.get(name)
+        if v is not None and not v:
+            issues.append(f"frozen variable {name} must be nonzero")
+    if isinstance(point.context, Presentation):
+        for rel in point.context.relations:
+            if not rel.variables_used() <= set(a):
+                continue
+            value = rel.evaluate(a)
+            if value:
+                issues.append(f"{rel.to_expr()} = {value}")
+    else:
+        for rel in point.context.relations():
+            if rel.partner is None or rel.var not in a or rel.partner not in a:
+                continue
+            rhs = _reference_value(rel, a)
+            if rhs is None:
+                continue
+            lhs = a[rel.var] * a[rel.partner]
+            if lhs != rhs:
+                issues.append(f"{_relation_text(rel)} violated: {lhs} != {rhs}")
+    return issues
+
+
+def reference_propagate_point(point, exploration):
+    """propagate_point as a plain fixpoint: every relation evaluated afresh
+    in every pass until a pass assigns nothing."""
+    a = dict(point.assignment)
+    issues = []
+    reported = set()
+
+    def report(key, text):
+        if key not in reported:
+            reported.add(key)
+            issues.append(text)
+
+    changed = True
+    while changed:
+        changed = False
+        for rel in exploration.relations():
+            fv = a.get(rel.var)
+            if fv is None:
+                continue
+            rhs = _reference_value(rel, a)
+            if rhs is None:
+                continue
+            if not fv:
+                if rhs:
+                    report(("zero", rel.seed_index, rel.direction),
+                           f"{rel.var} = 0 but {_relation_text(rel)} "
+                           f"gives product {rhs}")
+                continue
+            if rel.partner is None:
+                continue
+            val = rhs * fv.inverse()
+            cur = a.get(rel.partner)
+            if cur is None:
+                a[rel.partner] = val
+                changed = True
+            elif cur != val:
+                report(("conflict", rel.partner),
+                       f"{rel.partner} = {cur} conflicts with "
+                       f"{_relation_text(rel)} giving {val}")
+    return AlgebraPoint(a, exploration), issues
+
+
+GOLDEN = Path(__file__).parent / "golden"
+ORACLE_KEYS = ("sl2", "a3", "affine-a11", "markov", "g2-frozen", "markov-file-40")
+VALUES = (1, 2, -1, I, GaussianRational(1, 1), Fraction(1, 2), Fraction(-2, 3))
+
+
+@functools.cache
+def oracle_context(key):
+    """The exploration named ``key`` and, for an acyclic start, its
+    presentation: the catalog's, g2-frozen's, or a Markov file seed's
+    truncated at 40 seeds."""
+    if key == "g2-frozen":
+        seed = parse_seed_file((GOLDEN / "g2-frozen.seed").read_text())
+        return explore(seed), acyclic_presentation(seed)
+    if key == "markov-file-40":
+        seed = parse_seed_file(emit_seed_file(catalog("markov").seed))
+        return explore(seed, max_seeds=40), None
+    entry = catalog(key)
+    return entry.exploration, entry.presentation
+
+
+@st.composite
+def partial_points(draw):
+    """A context and a random partial point: each chosen name keeps the value
+    a generic point propagates to it, or is set to zero, moved by one, or
+    drawn afresh (so the point may conflict), in a random insertion order."""
+    key = draw(st.sampled_from(ORACLE_KEYS))
+    exploration, presentation = oracle_context(key)
+    context = exploration if presentation is None else draw(
+        st.sampled_from((exploration, presentation)))
+    start = {nm: draw(st.sampled_from(VALUES)) for nm in exploration.seeds[0].names}
+    generic, _ = reference_propagate_point(AlgebraPoint(start, exploration), exploration)
+    names = list(dict.fromkeys(nm for s in exploration.seeds for nm in s.names))
+    if context is presentation:
+        names = list(presentation.table.names)
+    values = {}
+    for name in draw(st.lists(st.sampled_from(names), unique=True)):
+        v = generic.assignment.get(name)
+        how = draw(st.sampled_from(("keep", "keep", "keep", "zero", "shift", "other")))
+        if v is None or how == "other":
+            v = draw(st.sampled_from((0,) + VALUES))
+        elif how == "zero":
+            v = 0
+        elif how == "shift":
+            v = v + 1
+        values[name] = v
+    return exploration, AlgebraPoint(values, context)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_points())
+def test_propagation_and_verification_match_the_relation_by_relation_loops(case):
+    exploration, point = case
+    assert verify_point(point) == reference_verify_point(point)
+    if isinstance(point.context, Presentation):
+        return
+    full, issues = propagate_point(point, exploration)
+    want, want_issues = reference_propagate_point(point, exploration)
+    assert list(full.assignment.items()) == list(want.assignment.items())
+    assert issues == want_issues
+    assert verify_point(full) == reference_verify_point(want)
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The binomial numbers of every exchange evaluation, in call order."""
+    calls = []
+    evaluate = regularity_module._exchange_value
+    monkeypatch.setattr(regularity_module, "_exchange_value",
+                        lambda rel, a: calls.append(rel.binomial) or evaluate(rel, a))
+    return calls
+
+
+# the hexagon's 15 crossing pairs of diagonals share 12 Ptolemy binomials:
+# 1 + d for each long diagonal d (two pairs each), and nine sums of two
+# short diagonals' monomials
+@pytest.mark.parametrize("key,binomials,relations", [
+    ("a3", 12, 42), ("markov", 21, 30), ("affine-a11", 8, 14),
+])
+def test_each_binomial_is_evaluated_at_most_once_per_call(evaluations, key,
+                                                          binomials, relations):
+    entry = catalog(key)
+    e = entry.exploration
+    assert (len({rel.binomial for rel in e.relations()}), len(e.relations())) == (
+        binomials, relations)
+    root = e.seeds[0].names
+    starts = [dict.fromkeys(root, 1), dict.fromkeys(root, 0), {root[0]: 2},
+              *(p.assignment for p in entry.points.values())]
+    for values in starts:
+        evaluations.clear()
+        full, _ = propagate_point(AlgebraPoint(values, e), e)
+        assert len(evaluations) == len(set(evaluations)) <= binomials
+        evaluations.clear()
+        verify_point(full)
+        assert len(evaluations) == len(set(evaluations)) <= binomials
+
+
+def test_a3_generic_point_evaluates_every_binomial_once(evaluations):
+    e = catalog("a3").exploration
+    point = AlgebraPoint({"x13": 1, "x14": 1, "x15": 1}, e)
+    full, issues = propagate_point(point, e)
+    assert issues == [] and len(full.assignment) == 9
+    assert sorted(evaluations) == list(range(12))
+    evaluations.clear()
+    assert verify_point(full) == []
+    assert sorted(evaluations) == list(range(12))
 
 
 # ---------------------------------------------------------------------------

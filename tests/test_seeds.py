@@ -454,6 +454,21 @@ def test_exchange_relations_hold_over_the_expansions(seed, max_seeds):
     assert checked >= len(e.seeds)
 
 
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_relations_share_a_binomial_number_exactly_when_they_share_p(key):
+    # numbered in order of first appearance, one number per distinct
+    # P+ + P- as a Laurent polynomial in the first chart
+    e = catalog(key).exploration
+    variables, table = e.variables, e.seeds[0].chart()
+    numbers = {}
+    for rel in e.relations():
+        p = _monomial(variables, rel.pos, table) + _monomial(variables, rel.neg, table)
+        numbers.setdefault(p.canonical_key(), set()).add(rel.binomial)
+    assert all(len(shared) == 1 for shared in numbers.values())
+    order = list(dict.fromkeys(rel.binomial for rel in e.relations()))
+    assert order == list(range(len(numbers)))
+
+
 @pytest.mark.parametrize("search", [
     explore,
     find_acyclic_seed,
