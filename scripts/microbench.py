@@ -11,8 +11,9 @@ each division undoes one product.  The non-monic divisions divide by the
 second factor times 1+i, a leading coefficient that is no unit of the
 Gaussian integers, so the remainder is rescaled.  ``propagate_point`` runs
 on the full A_5 exploration (132 clusters, 660 exchange relations) from one
-fixed Q(i) point of its first chart, and ``verify_point`` on the point it
-propagates to.
+fixed Q(i) point of its first chart, ``verify_point`` on the point it
+propagates to, and ``tangent_dimension`` on the acyclic presentation of that
+first chart at the same point.
 
 Usage:  python3 scripts/microbench.py [--repeat N]
 """
@@ -28,9 +29,11 @@ from clusterwp import (
     ExchangeMatrix,
     GaussianRational,
     Seed,
+    acyclic_presentation,
     catalog,
     explore,
     propagate_point,
+    tangent_dimension,
     verify_point,
 )
 
@@ -74,11 +77,14 @@ def laurent_cases():
 def point_cases():
     rows = tuple(tuple((j == i + 1) - (j == i - 1) for j in range(5)) for i in range(5))
     names = ("a", "b", "c", "d", "e")
-    a5 = explore(Seed.initial(ExchangeMatrix(5, 5, rows), names))
+    seed = Seed.initial(ExchangeMatrix(5, 5, rows), names)
+    a5, pres = explore(seed), acyclic_presentation(seed)
     start = AlgebraPoint(dict(zip(names, (G(2), G(1, 1), G(Fraction(-1, 2)), G(3), G(0, 5)))), a5)
     full, _ = propagate_point(start, a5)
+    at = AlgebraPoint({nm: full.assignment[nm] for nm in pres.table.names}, pres)
     yield "regularity propagate_point a5", [partial(propagate_point, start, a5)] * 20
     yield "regularity verify_point a5", [partial(verify_point, full)] * 20
+    yield "regularity tangent_dimension a5", [partial(tangent_dimension, pres, at)] * 20
 
 
 def main(repeat=5):

@@ -87,11 +87,13 @@ def _resolve_seed(token):
     return parse_seed_file(text, token), prime_namer, None
 
 
-def _load_point(path, known=None):
-    """A point file's assignment; with ``known``, a name outside it is a
-    usage error naming the first such name in file order."""
+def _load_point(path, known, entry=None):
+    """A point file's assignment.  A name outside ``known`` and the clusters
+    of a catalog ``entry`` is a usage error naming the first in file order."""
     values = parse_point_file(_read_file(path), path)
-    unknown = [] if known is None else [name for name in values if name not in known]
+    if entry is not None:
+        known = set(known) | _cluster_names(entry.exploration)
+    unknown = [name for name in values if name not in known]
     if unknown:
         raise _UsageError(f"{path}: unknown variable {unknown[0]}")
     return values
@@ -241,12 +243,14 @@ def _cmd_invariance(args):
 
 
 def _cmd_regularize(args):
-    seed, namer, _ = _resolve_seed(args.seed)
+    seed, namer, entry = _resolve_seed(args.seed)
     if args.pattern is not None:
         oracle = constant_vanishing_oracle(
             _parse_index_list(args.pattern, "--pattern"))
     else:
-        oracle = point_vanishing_oracle(AlgebraPoint(_load_point(args.point)))
+        # the names of every cluster it may visit, the start's alone without --search
+        known = _cluster_names(explore(seed, max_seeds=args.search or 0, namer=namer))
+        oracle = point_vanishing_oracle(AlgebraPoint(_load_point(args.point, known, entry)))
     try:
         if args.search is None:
             form = regularize_at(seed, oracle(seed), namer=namer)
@@ -273,11 +277,7 @@ def _cmd_regularize(args):
 def _cmd_tangent(args):
     seed, namer, entry = _resolve_seed(args.seed)
     pres = acyclic_presentation(seed, namer)
-    known = set(pres.table.names)
-    if entry is not None:   # a catalog point may also name the entry's other variables
-        known |= _cluster_names(entry.exploration)
-    values = _load_point(args.point, known)
-    point = AlgebraPoint(values, pres)
+    point = AlgebraPoint(_load_point(args.point, pres.table.names, entry), pres)
     try:
         dim = tangent_dimension(pres, point)
     except ValueError as exc:
@@ -314,12 +314,11 @@ def _cmd_deep(args):
     seed, _, entry = _resolve_seed(args.seed)
     if entry is not None:
         exploration = entry.exploration
+    elif args.max_seeds is None:
+        raise _UsageError("--max-seeds is required for file seeds")
     else:
-        if args.max_seeds is None:
-            raise _UsageError("--max-seeds is required for file seeds")
         exploration = explore(seed, max_seeds=args.max_seeds)
-    values = _load_point(args.point, _cluster_names(exploration))
-    point = AlgebraPoint(values, exploration)
+    point = AlgebraPoint(_load_point(args.point, _cluster_names(exploration)), exploration)
     full, issues = propagate_point(point, exploration)
     if issues:
         raise _UsageError(f"invalid point: {issues[0]}")

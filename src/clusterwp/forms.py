@@ -1,5 +1,8 @@
 """Kähler 2-form calculus on cluster charts.
 
+A form's chart is its seed's matrix and names (``seeds._chart``), so
+seeds that differ only in g- or c-vectors carry the same forms.
+
 Two representations:
 
 * ChartForm — a 2-form written in one seed's coordinates, stored sparsely as
@@ -25,7 +28,7 @@ import re
 from .exprs import ExprError, parse_expression
 from .laurent import (
     Inhomogeneous, LaurentError, LaurentPoly, NotLaurent, RationalFn, VarTable)
-from .seeds import InputFileError, _content_lines, _exchange_partner, mutate_matrix
+from .seeds import InputFileError, _chart, _content_lines, _exchange_partner
 
 
 FormFileError = InputFileError
@@ -43,14 +46,15 @@ def _coefficient(value, table, what):
 
 
 def _same_chart(a, b):
-    if a.chart != b.chart:
+    if _chart(a.chart) != _chart(b.chart):
         raise ValueError("chart mismatch: pull back to a common chart first")
 
 
 class ChartForm:
     """2-form in a seed's chart: slot (i, j), i < j, holds the df_i∧df_j
     coefficient as a RationalFn in the chart variables.  Zero coefficients
-    are pruned at construction."""
+    are pruned at construction.  The form lives on the matrix and names of
+    its seed ``chart``."""
 
     def __init__(self, chart, coeffs):
         self.chart = chart
@@ -151,8 +155,9 @@ class SymbolicForm:
 
 def reduce_to_chart(form, chart):
     """Express a SymbolicForm in the chart by expanding each differential
-    through its generator's expansion: d(g) = sum_i (dg/df_i) df_i."""
-    if chart != form.chart:
+    through its generator's expansion: d(g) = sum_i (dg/df_i) df_i.  The
+    chart is a seed with the matrix and names of the form's seed."""
+    if _chart(chart) != _chart(form.chart):
         raise ValueError("chart mismatch: form was built over a different seed")
     return _reduce(form.terms, form.gens, chart)
 
@@ -182,18 +187,17 @@ def _reduce(terms, gens, chart):
 
 
 def pullback(form, target, k):
-    """Pull a ChartForm on the chart mu_k(target) back to target's chart by
-    substituting f_k' = P_k/f_k and fixing the other variables."""
-    if form.chart.matrix != mutate_matrix(target.matrix, k) or form.chart.names[:k - 1] != \
-            target.names[:k - 1] or form.chart.names[k:] != target.names[k:]:
+    """Pull a ChartForm on the chart mu_k(target), any name at slot k, back to
+    target's chart by substituting f_k' = P_k/f_k and fixing the others."""
+    partner_name = form.chart.names[k - 1] if 0 < k <= len(form.chart.names) else None
+    if _chart(form.chart) != _chart(target, k, partner_name):
         raise ValueError(f"chart mismatch: form is not on a mutation of this "
                          f"seed at direction {k}")
-    partner_name = form.chart.names[k - 1]
     if partner_name in target.names:
         raise ValueError(f"duplicate variable name: {partner_name!r}")
     chart_table = target.chart()
     gens = {nm: LaurentPoly.variable(chart_table, nm) for nm in target.names}
-    gens[partner_name] = _exchange_partner(target.matrix, k, list(gens.values()),
+    gens[partner_name] = _exchange_partner(_chart(target), k, lambda nm, e: gens[nm] ** e,
                                            chart_table)
     return _reduce(form.terms, gens, target)
 

@@ -16,13 +16,15 @@ from math import prod
 
 from .exact import GaussianParseError, GaussianRational, parse_gaussian, rank
 from .forms import SymbolicForm, wp_form
-from .laurent import LaurentPoly, RationalFn, VarTable, _IDENT_RE
+from .laurent import LaurentPoly, RationalFn, UnboundVariable, VarTable, _IDENT_RE
 from .seeds import (
     InputFileError,
     NotFoundWithinBudget,
     Presentation,
     Seed,
+    _chart,
     _content_lines,
+    _exchange_monomials,
     _exchange_partner,
     _partner_names,
     _seed_budget,
@@ -116,11 +118,11 @@ def verify_point(point):
         if v is not None and not v:
             issues.append(f"frozen variable {name} must be nonzero")
     if isinstance(point.context, Presentation):
-        assigned = set(a)
         for rel in point.context.relations:
-            if not rel.variables_used() <= assigned:
+            try:
+                value = rel.evaluate(a)
+            except UnboundVariable:     # a relation not fully assigned is skipped
                 continue
-            value = rel.evaluate(a)
             if value:
                 issues.append(f"{rel.to_expr()} = {value}")
     else:
@@ -286,7 +288,7 @@ def regularize_at(seed, pattern, namer=prime_namer):
     introducing the once-mutated generator f_i', named as partner i of
     ``_partner_names(seed, namer)``.  Non-singular terms are kept verbatim.
     Raises HypothesisViolated when two vanishing indices are exchange-adjacent."""
-    if pattern.seed != seed:
+    if _chart(pattern.seed) != _chart(seed):
         raise ValueError("pattern was built over a different seed")
     pair = adjacent_vanishing_pair(pattern)
     if pair is not None:
@@ -304,34 +306,27 @@ def regularize_at(seed, pattern, namer=prime_namer):
                     f"B_{j}{i} = {mat.b(j, i)}")
 
     chart_table = seed.chart()
-    chart_vars = [LaurentPoly.variable(chart_table, nm) for nm in seed.names]
+    chart_vars = {nm: LaurentPoly.variable(chart_table, nm) for nm in seed.names}
     partners = _partner_names(seed, namer)
-    extras = {partners[i - 1]: _exchange_partner(mat, i, chart_vars, chart_table)
-              for i in v_sorted}
+    extras = {partners[i - 1]: _exchange_partner(
+        _chart(seed), i, lambda nm, e: chart_vars[nm] ** e, chart_table) for i in v_sorted}
 
     sym_table = VarTable(seed.names + tuple(extras))
     var = {nm: LaurentPoly.variable(sym_table, nm) for nm in sym_table.names}
     terms = []
     for i in v_sorted:
         name_i, partner = seed.names[i - 1], partners[i - 1]
-        multiplier = LaurentPoly.constant(sym_table, 1)
-        for j, b in enumerate(mat.rows[i - 1]):
-            if b > 0:
-                multiplier = multiplier * var[seed.names[j]] ** (-b)
+        pos, neg = _exchange_monomials(mat.rows[i - 1], seed.names)
+        multiplier = prod([var[nm] ** -e for nm, e in pos],
+                          start=LaurentPoly.constant(sym_table, 1))
         terms.append((RationalFn(multiplier), name_i, partner))
-        for j, b in enumerate(mat.rows[i - 1]):
-            if b < 0:
-                coeff = RationalFn(multiplier * var[partner] * b,
-                                   var[seed.names[j]])
-                terms.append((coeff, name_i, seed.names[j]))
-    vanishing = set(pattern.indices)
-    for (a, b) in sorted(wp_form(seed).coeffs):
-        if a in vanishing or b in vanishing:
-            continue
-        coeff = RationalFn(
-            LaurentPoly.constant(sym_table, mat.b(a, b)),
-            var[seed.names[a - 1]] * var[seed.names[b - 1]])
-        terms.append((coeff, seed.names[a - 1], seed.names[b - 1]))
+        terms += [(RationalFn(multiplier * var[partner] * -e, var[nm]), name_i, nm)
+                  for nm, e in neg]
+    for a, b in sorted(wp_form(seed).coeffs):
+        if {a, b}.isdisjoint(pattern.indices):
+            g, h = seed.names[a - 1], seed.names[b - 1]
+            terms.append((RationalFn(LaurentPoly.constant(sym_table, mat.b(a, b)),
+                                     var[g] * var[h]), g, h))
 
     form = SymbolicForm(seed, extras, terms)
     banned = set(pattern.names())
@@ -382,13 +377,10 @@ def tangent_dimension(presentation, point):
     missing = [nm for nm in names if nm not in point.assignment]
     if missing:
         raise ValueError(f"unassigned generator(s): {', '.join(missing)}")
-    check = AlgebraPoint(point.assignment, presentation)
-    issues = verify_point(check)
+    issues = verify_point(AlgebraPoint(point.assignment, presentation))
     if issues:
         raise ValueError(f"not a point of the algebra: {issues[0]}")
-    a = point.assignment
-    jacobian = [[rel.partial(nm).evaluate(a) for nm in names]
-                for rel in presentation.relations]
+    jacobian = [[p.evaluate(point.assignment) for p in row] for row in presentation._jacobian]
     return len(names) - rank(jacobian)
 
 

@@ -15,16 +15,20 @@ A new variable is named by a namer ``(seed, k) -> name``, by default
 ``prime_namer``, primed until fresh among the seed's names or all the names
 a walk has given (``_walk_namer``).  A seed's partners are the first ring
 of a walk from it, so ``explore``, ``present`` and both searches agree.
+Only ``_exchange_monomials`` reads P+ and P- off a matrix row, and a
+seed's chart, all that forms read of it, is ``_chart(seed)``: its matrix
+and names.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
+from operator import mul
 
 from .laurent import LaurentPoly, NotLaurent, VarTable
 
@@ -75,13 +79,6 @@ class ExchangeMatrix:
                 if not isinstance(x, int):
                     raise ValueError(f"matrix entries must be integers, got {x!r}")
         find_skew_symmetrizer(self)
-
-    @classmethod
-    def _mutation_of_valid(cls, m, n, rows):
-        """A matrix mutated from a validated one, built without validation:
-        mutation keeps the skew-symmetrizer (Fomin-Zelevinsky, *Cluster
-        algebras I*, Prop. 4.5)."""
-        return _unchecked(cls, m, n, rows)
 
     def b(self, i, j):
         """Entry B_ij with 1-based indices (row i mutable, column j any)."""
@@ -157,7 +154,9 @@ def mutate_matrix(matrix, k):
             row[kk] = -bik
             row = tuple(row)
         out.append(row)
-    return ExchangeMatrix._mutation_of_valid(matrix.m, matrix.n, tuple(out))
+    # built without validation: mutation keeps the skew-symmetrizer of a
+    # validated matrix (Fomin-Zelevinsky, *Cluster algebras I*, Prop. 4.5)
+    return _unchecked(ExchangeMatrix, matrix.m, matrix.n, tuple(out))
 
 
 def _mutated_row(row, pivot, bik):
@@ -190,13 +189,13 @@ def prime_namer(seed, k):
 
 def _walk_namer(seed, namer=prime_namer):
     """The naming routine ``(s, k) -> name`` of a walk from ``seed``.  The
-    variable that replaces slot k of s is told apart by g-vector: the first
-    time it is met it is named ``namer(s, k)``, primed until it differs from
-    every name given so far, and it keeps that name afterwards."""
+    variable that replaces slot k of s is told apart by g-vector (``g``, if
+    given): the first time it is met it is named ``namer(s, k)``, primed
+    until it differs from every name given so far, and it keeps that name."""
     names, taken = dict(zip(seed.gvectors, seed.names)), set(seed.names)
 
-    def name(s, k):
-        g = s._partner_gvector(k)
+    def name(s, k, g=None):
+        g = s._partner_gvector(k) if g is None else g
         if g not in names:
             names[g] = _fresh(namer(s, k), taken)
         return names[g]
@@ -211,30 +210,38 @@ def _partner_names(seed, namer):
     return tuple(name(seed, i) for i in range(1, seed.matrix.m + 1))
 
 
-def _exchange_binomial(row, power, table):
-    """Sum of the two exchange monomials for one matrix row.
+def _chart(seed, k=None, name=None):
+    """A seed's chart ``(matrix, names)``, all that a 2-form reads of it; with
+    ``k``, that of mu_k(seed), its new variable ``name`` or prime-named."""
+    if k is None:
+        return seed.matrix, seed.names
+    matrix = mutate_matrix(seed.matrix, k)     # first: it checks k
+    name = prime_namer(seed, k) if name is None else name
+    return matrix, seed.names[:k - 1] + (name,) + seed.names[k:]
 
-    ``power(j, e)`` is the j-th factor to the power e > 0; works for both
-    expansion polynomials and fresh chart variables.  A monomial with no
-    factor is 1."""
-    pos = neg = None
-    for j, b in enumerate(row):
-        if b > 0:
-            pos = power(j, b) if pos is None else pos * power(j, b)
-        elif b < 0:
-            neg = power(j, -b) if neg is None else neg * power(j, -b)
+
+def _exchange_monomials(row, names):
+    """P+ and P- of a matrix row over its columns' names, as ``(name,
+    exponent)`` factors in column order: B_ij > 0 in P+, B_ij < 0 in P-."""
+    return (tuple((nm, b) for nm, b in zip(names, row) if b > 0),
+            tuple((nm, -b) for nm, b in zip(names, row) if b < 0))
+
+
+def _exchange_binomial(chart, k, power, table):
+    """P_k = P+ + P- of row k of a chart ``(matrix, names)``, ``power(name,
+    e)`` giving a factor to the power e > 0.  A monomial with no factor is 1."""
+    matrix, names = chart
+    pos, neg = ([power(nm, e) for nm, e in factors]
+                for factors in _exchange_monomials(matrix.rows[k - 1], names))
     one = LaurentPoly.constant(table, 1)
-    return (one if pos is None else pos) + (one if neg is None else neg)
+    return (reduce(mul, pos) if pos else one) + (reduce(mul, neg) if neg else one)
 
 
-def _exchange_partner(matrix, k, factors, table, power=None):
-    """x_k' = P_k / x_k: the exchange binomial of row k over ``factors``,
-    divided by the replaced variable ``factors[k-1]``; ``power(j, e)``, by
-    default ``factors[j] ** e``, may hand out powers computed before.
-    Raises NotLaurent if that is not Laurent."""
-    binomial = _exchange_binomial(matrix.rows[k - 1],
-                                  power or (lambda j, e: factors[j] ** e), table)
-    return (binomial / factors[k - 1]).as_laurent()
+def _exchange_partner(chart, k, power, table):
+    """x_k' = P_k / x_k, x_k being ``power(name, 1)``.  Raises NotLaurent if
+    that is not Laurent."""
+    binomial = _exchange_binomial(chart, k, power, table)
+    return (binomial / power(chart[1][k - 1], 1)).as_laurent()
 
 
 @dataclass(frozen=True)
@@ -276,7 +283,7 @@ class Seed:
         """Seed mutation in direction k; the replaced variable is renamed
         ``new_name``, by default ``prime_namer(self, k)``.  The c-vectors
         mutate as m extra matrix columns."""
-        matrix = mutate_matrix(self.matrix, k)
+        matrix, names = _chart(self, k, new_name)
         kk = k - 1
         pivot = self.cvectors[kk]
         cvectors = []
@@ -286,10 +293,7 @@ class Seed:
             elif row[kk]:
                 c = tuple(_mutated_row(c, pivot, row[kk]))
             cvectors.append(c)
-        if new_name is None:
-            new_name = prime_namer(self, k)
-        return _unchecked(Seed, matrix, self.names[:kk] + (new_name,) + self.names[k:],
-                          self.gvectors[:kk] + (self._partner_gvector(k),)
+        return _unchecked(Seed, matrix, names, self.gvectors[:kk] + (self._partner_gvector(k),)
                           + self.gvectors[k:], tuple(cvectors))
 
     def cluster_key(self):
@@ -354,7 +358,8 @@ def _walk(seed, max_depth, name=None):
             if key in seen:
                 continue
             seen.add(key)
-            t = _unchecked(Seed, t.matrix, t.names[:k - 1] + (name(s, k),) + t.names[k:],
+            new_name = name(s, k, t.gvectors[k - 1])
+            t = _unchecked(Seed, t.matrix, t.names[:k - 1] + (new_name,) + t.names[k:],
                            t.gvectors, t.cvectors)
             queue.append((t, depth + 1))
             yield t, depth + 1
@@ -394,6 +399,12 @@ class Presentation:
     table: VarTable
     relations: tuple
 
+    @cached_property
+    def _jacobian(self):
+        """Each relation's partials by generator, in table order."""
+        return tuple(tuple(rel.partial(nm) for nm in self.table.names)
+                     for rel in self.relations)
+
 
 def acyclic_presentation(seed, namer=prime_namer):
     """Presentation of an acyclic seed (NotAcyclic names a cycle), its
@@ -401,18 +412,15 @@ def acyclic_presentation(seed, namer=prime_namer):
     cycle = find_directed_cycle(seed.matrix)
     if cycle is not None:
         raise NotAcyclic(cycle)
-    m = seed.matrix.m
     primed_names = _partner_names(seed, namer)
     table = VarTable(seed.names + primed_names)
-    gens = [LaurentPoly.variable(table, nm) for nm in seed.names]
-    relations = []
-    for i in range(m):
-        binomial = _exchange_binomial(seed.matrix.rows[i], lambda j, e: gens[j] ** e,
-                                      table)
-        partner = LaurentPoly.variable(table, primed_names[i])
-        relations.append(gens[i] * partner - binomial)
-    return Presentation(seed.names, primed_names, seed.names[m:], table,
-                        tuple(relations))
+    gens = {nm: LaurentPoly.variable(table, nm) for nm in table.names}
+    relations = tuple(
+        gens[nm] * gens[partner]
+        - _exchange_binomial(_chart(seed), i, lambda g, e: gens[g] ** e, table)
+        for i, (nm, partner) in enumerate(zip(seed.names, primed_names), 1))
+    return Presentation(seed.names, primed_names, seed.names[seed.matrix.m:], table,
+                        relations)
 
 
 @dataclass(frozen=True)
@@ -477,17 +485,15 @@ class Exploration:
         table = self.seeds[0].chart()
         variables = {nm: LaurentPoly.variable(table, nm) for nm in self.seeds[0].names}
         powers = {}     # (name, exponent) -> that power of the variable's expansion
-        for name, parent, k in self._new:
-            names = [self._names[h] for h in parent.gvectors]
 
-            def power(j, e):
-                key = (names[j], e)
-                if key not in powers:
-                    powers[key] = variables[names[j]] ** e
-                return powers[key]
+        def power(name, e):
+            if (name, e) not in powers:
+                powers[name, e] = variables[name] ** e
+            return powers[name, e]
+        # a parent's chart carries the exploration's names, as __init__ checks
+        for name, parent, k in self._new:
             try:
-                variables[name] = _exchange_partner(
-                    parent.matrix, k, [variables[nm] for nm in names], table, power)
+                variables[name] = _exchange_partner(_chart(parent), k, power, table)
             except NotLaurent as exc:   # pragma: no cover - Laurent phenomenon
                 raise MutationArithmeticError(f"{name} is not Laurent") from exc
         return variables
@@ -504,9 +510,7 @@ class Exploration:
             binomials = {}  # unordered pair of factor sets -> its number
             for idx, s in enumerate(self.seeds):
                 for k in range(1, s.matrix.m + 1):
-                    row = s.matrix.rows[k - 1]
-                    pos = tuple((s.names[j], b) for j, b in enumerate(row) if b > 0)
-                    neg = tuple((s.names[j], -b) for j, b in enumerate(row) if b < 0)
+                    pos, neg = _exchange_monomials(s.matrix.rows[k - 1], s.names)
                     key = frozenset((frozenset(pos), frozenset(neg)))
                     rels.append(ExchangeRelation(
                         idx, k, s.names[k - 1],

@@ -478,6 +478,30 @@ def test_regularize_a3_by_point(capsys, tmp_path):
     assert (rc, out) == (0, _A3_REGULARIZED)
 
 
+@pytest.mark.parametrize("search", [[], ["--search", "5"]])
+def test_regularize_rejects_an_unknown_name(capsys, tmp_path, search):
+    # as tangent does: the catalog point names the entry's variables, and a
+    # name no variable of the entry carries is a usage error
+    point = _write(capsys, tmp_path, "p.point",
+                   "catalog", "a3", "--point", "deep")
+    rc, out, _ = run(capsys, "regularize", "a3", "--point", point, *search)
+    assert rc == 0 and out.endswith(_A3_REGULARIZED)
+    with open(point, "a") as handle:
+        handle.write("zzz = 3\n")
+    rc, out, err = run(capsys, "regularize", "a3", "--point", point, *search)
+    assert (rc, out, err) == (2, "", f"error: {point}: unknown variable zzz\n")
+
+
+def test_regularize_search_knows_the_names_its_walk_gives(capsys, tmp_path):
+    seed = _write(capsys, tmp_path, "a3.seed", "catalog", "a3")
+    point = tmp_path / "p.point"
+    point.write_text("x13 = 0\nx14 = -1\nx15 = 0\nx13' = 0\n")
+    rc, out, err = run(capsys, "regularize", seed, "--point", str(point))
+    assert (rc, out, err) == (2, "", f"error: {point}: unknown variable x13'\n")
+    rc, out, err = run(capsys, "regularize", seed, "--point", str(point), "--search", "5")
+    assert (rc, err) == (0, "") and "\nform:\ngen x13' = " in out
+
+
 def test_regularize_single_index_uses_namer(capsys):
     rc, out, _ = run(capsys, "regularize", "a3", "--pattern", "2")
     assert rc == 0

@@ -26,7 +26,9 @@ from clusterwp.forms import (
     wp_form,
 )
 from clusterwp.laurent import Inhomogeneous, LaurentPoly, RationalFn, VarTable
-from clusterwp.seeds import ExchangeMatrix, Seed, parse_seed_file
+from clusterwp.regularity import VanishingPattern, regularize_at
+from clusterwp.seeds import (
+    ExchangeMatrix, Seed, acyclic_presentation, explore, is_acyclic, parse_seed_file)
 
 SL2 = Seed.initial(ExchangeMatrix(1, 3, ((0, 1, 1),)), ("x", "c1", "c2"))
 A3 = Seed.initial(
@@ -389,11 +391,11 @@ def test_check_invariance_matches_chained_failing(seed):
 
 
 @st.composite
-def small_seeds(draw):
+def small_seeds(draw, max_frozen=1):
     """B = S D on the mutable block (S skew-symmetric, D a positive
-    diagonal), entries in -2..2, with or without one frozen column."""
+    diagonal), entries in -2..2, with up to ``max_frozen`` frozen columns."""
     m = draw(st.integers(1, 3))
-    frozen = draw(st.integers(0, 1))
+    frozen = draw(st.integers(0, max_frozen))
     d = [draw(st.integers(1, 2)) for _ in range(m)]
     rows = [[0] * (m + frozen) for _ in range(m)]
     for i in range(m):
@@ -410,6 +412,33 @@ def small_seeds(draw):
 @given(small_seeds())
 def test_check_invariance_matches_chained_random(seed):
     assert check_invariance(seed, 2) == chained_invariance(seed, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_seeds(max_frozen=2))
+def test_exchange_monomials_are_read_off_the_matrix(seed):
+    # P+ = prod_{B_kj > 0} x_j^B_kj and P- = prod_{B_kj < 0} x_j^-B_kj, in
+    # column order, for every relation of a walk and of a presentation
+    def factors(s, k, sign):
+        entries = [(nm, sign * s.matrix.b(k, j)) for j, nm in enumerate(s.names, 1)]
+        return tuple((nm, e) for nm, e in entries if e > 0)
+
+    e = explore(seed, max_depth=2)
+    for rel in e.relations():
+        s = e.seeds[rel.seed_index]
+        assert rel.var == s.names[rel.direction - 1]
+        assert (rel.pos, rel.neg) == (factors(s, rel.direction, 1),
+                                      factors(s, rel.direction, -1))
+    if is_acyclic(seed.matrix):
+        pres = acyclic_presentation(seed)
+        m, n = seed.matrix.m, seed.matrix.n
+        for i, rel in enumerate(pres.relations, 1):
+            row = [seed.matrix.b(i, j) for j in range(1, n + 1)] + [0] * m
+            pos = LaurentPoly.monomial(pres.table, [max(b, 0) for b in row])
+            neg = LaurentPoly.monomial(pres.table, [max(-b, 0) for b in row])
+            x, x_prime = (LaurentPoly.variable(pres.table, nm)
+                          for nm in (seed.names[i - 1], pres.primed_names[i - 1]))
+            assert rel == x * x_prime - pos - neg
 
 
 # Two paths meet at one seed: the square mu_1 mu_3 = mu_3 mu_1 in A3, and
@@ -438,6 +467,50 @@ def test_check_invariance_pulls_back_once_per_seed(monkeypatch, seed, depth,
     report = check_invariance(seed, depth)
     assert sum(not ok for _, ok in report) == failures
     assert len(calls) == pullbacks
+
+
+# ---------------------------------------------------------------------------
+# charts: a form reads its seed's matrix and names, nothing else
+# ---------------------------------------------------------------------------
+
+# mu_1 mu_2 and mu_2 mu_1 of Markov: two clusters on one chart, the matrix
+# of MARKOV and the names x1' x2' x3
+T1, T2 = MARKOV.mutated(1).mutated(2), MARKOV.mutated(2).mutated(1)
+ON_T1 = "x1'^-1*x3^-1 ; x1' ; x3\n"
+OTHER_MATRIX = Seed.initial(
+    ExchangeMatrix(3, 3, tuple(tuple(-b for b in row) for row in T1.matrix.rows)), T1.names)
+OTHER_NAMES = Seed.initial(T1.matrix, ("y1", "y2", "x3"))
+
+
+def test_seeds_on_one_chart_share_their_forms():
+    assert T1.gvectors != T2.gvectors
+    assert (T1.matrix, T1.names) == (T2.matrix, T2.names)
+    assert forms_equal(wp_form(T1), wp_form(T2))
+    assert wp_form(T1).plus(wp_form(T2)) == wp_form(T2).scaled(2)
+    form = parse_form_file(ON_T1, T1)
+    assert reduce_to_chart(form, T2).coeffs == reduce_to_chart(form, T1).coeffs
+    assert forms_equal(pullback(wp_form(T1.mutated(3)), T2, 3), wp_form(T2))
+    across = regularize_at(T2, VanishingPattern(T1, frozenset({1})))
+    own = regularize_at(T2, VanishingPattern(T2, frozenset({1})))
+    assert emit_form_file(across) == emit_form_file(own)
+
+
+@pytest.mark.parametrize("other", [OTHER_MATRIX, OTHER_NAMES],
+                         ids=["other-matrix", "other-names"])
+def test_forms_on_another_chart_are_rejected(other):
+    common = "^chart mismatch: pull back to a common chart first$"
+    with pytest.raises(ValueError, match=common):
+        forms_equal(wp_form(T1), wp_form(other))
+    with pytest.raises(ValueError, match=common):
+        wp_form(T1).plus(wp_form(other))
+    with pytest.raises(ValueError,
+                       match="^chart mismatch: form was built over a different seed$"):
+        reduce_to_chart(parse_form_file(ON_T1, T1), other)
+    with pytest.raises(ValueError, match="^chart mismatch: form is not on a mutation of "
+                                         "this seed at direction 3$"):
+        pullback(wp_form(T1.mutated(3)), other, 3)
+    with pytest.raises(ValueError, match="^pattern was built over a different seed$"):
+        regularize_at(other, VanishingPattern(T1, frozenset({1})))
 
 
 # ---------------------------------------------------------------------------

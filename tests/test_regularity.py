@@ -13,7 +13,7 @@ from clusterwp import regularity as regularity_module
 from clusterwp.catalog import catalog
 from clusterwp.exact import GaussianRational
 from clusterwp.forms import forms_equal, reduce_to_chart, wp_form
-from clusterwp.laurent import VarTable
+from clusterwp.laurent import LaurentPoly, VarTable
 from clusterwp.regularity import (
     AlgebraPoint,
     HypothesisViolated,
@@ -613,6 +613,20 @@ def test_tangent_a3_generic():
     p = AlgebraPoint({"x13": 1, "x14": 1, "x15": 1,
                       "x24": 2, "x35": 2, "x46": 2}, pres)
     assert tangent_dimension(pres, p) == 3
+
+
+def test_tangent_forms_the_partials_once_per_presentation(monkeypatch):
+    calls = []
+    partial = LaurentPoly.partial
+    monkeypatch.setattr(LaurentPoly, "partial",
+                        lambda self, name: calls.append(name) or partial(self, name))
+    entry = catalog("a3")
+    pres = acyclic_presentation(entry.seed, entry.namer)
+    assert pres == entry.presentation and pres is not entry.presentation
+    p = AlgebraPoint({"x13": 0, "x14": -1, "x15": 0,
+                      "x24": 0, "x35": 0, "x46": 0}, pres)
+    assert [tangent_dimension(pres, p) for _ in range(2)] == [4, 4]
+    assert len(calls) == 3 * 6      # each relation by each generator, once
 
 
 def test_tangent_rejects_partial_point():

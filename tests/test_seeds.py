@@ -532,6 +532,28 @@ def test_exploration_rejects_inconsistent_names():
         Exploration([s, s.mutated(1, "x14")], truncated=True)
 
 
+@pytest.mark.parametrize("seed,max_seeds,mutations", [
+    (a3_seed(), 1000, 42), (markov_seed(), 100, 148)], ids=["a3", "markov-100"])
+def test_explore_forms_each_partner_gvector_once_per_mutation(monkeypatch, seed,
+                                                              max_seeds, mutations):
+    # the walk names a new variable by the g-vector Seed.mutated just formed
+    calls = {"gvector": 0, "mutated": 0}
+    gvector, mutated = Seed._partner_gvector, Seed.mutated
+
+    def counted_gvector(self, k):
+        calls["gvector"] += 1
+        return gvector(self, k)
+
+    def counted_mutated(self, k, new_name=None):
+        calls["mutated"] += 1
+        return mutated(self, k, new_name)
+
+    monkeypatch.setattr(Seed, "_partner_gvector", counted_gvector)
+    monkeypatch.setattr(Seed, "mutated", counted_mutated)
+    explore(seed, max_seeds=max_seeds)
+    assert calls == {"gvector": mutations, "mutated": mutations}
+
+
 def test_exchange_divisions_once_per_variable(monkeypatch):
     calls = []
     partner = seeds_module._exchange_partner
@@ -646,9 +668,11 @@ def expansion_walk(seed, max_depth):
         matrix, t_names, expansions, depth = queue.popleft()
         if depth == max_depth:
             continue
+        by_name = dict(zip(t_names, expansions))
         for k in range(1, matrix.m + 1):
             new = list(expansions)
-            new[k - 1] = _exchange_partner(matrix, k, expansions, table)
+            new[k - 1] = _exchange_partner((matrix, t_names), k,
+                                           lambda nm, e: by_name[nm] ** e, table)
             if key(new) in seen:
                 continue
             seen.add(key(new))
