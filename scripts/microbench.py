@@ -2,11 +2,12 @@
 """Micro-benchmarks of the exact kernels under every verdict.
 
 Prints microseconds per call, the least over ``repeat`` timings, for
-``GaussianRational`` ``*``, ``+`` and ``inverse`` on integral and
-non-integral values, and for ``LaurentPoly`` ``*`` and ``divide_exact`` on
-the Laurent expansions of a Markov exploration of 60 seeds (those of
-``clusterwp explore markov --max-seeds 60``): each product multiplies two
-expansions met one after the other, each square squares one expansion, and
+``GaussianRational`` ``*``, ``+``, ``inverse`` and ``**`` (exponents 0 to 7)
+on integral and non-integral values, and for ``LaurentPoly`` ``*``, ``**``
+and ``divide_exact`` on the Laurent expansions of a Markov exploration of
+60 seeds (those of ``clusterwp explore markov --max-seeds 60``): each
+product multiplies two expansions met one after the other, each square
+squares one expansion, each cube takes one square and one product, and
 each division undoes one product.  The non-monic divisions divide by the
 second factor times 1+i, a leading coefficient that is no unit of the
 Gaussian integers, so the remainder is rescaled.  ``propagate_point`` runs
@@ -61,6 +62,8 @@ def scalar_cases():
         yield f"gaussian * {kind}", [partial(operator.mul, x, y) for x, y in pairs]
         yield f"gaussian + {kind}", [partial(operator.add, x, y) for x, y in pairs]
         yield f"gaussian inverse {kind}", [x.inverse for x, _ in pairs]
+        yield f"gaussian ** {kind}", [partial(operator.pow, x, e)
+                                      for x in values for e in range(8)] * 32
 
 
 def laurent_cases():
@@ -68,6 +71,7 @@ def laurent_cases():
     pairs = list(zip(expansions, expansions[1:]))
     yield "laurent * markov-60", [partial(operator.mul, p, q) for p, q in pairs]
     yield "laurent square markov-60", [partial(operator.mul, p, p) for p in expansions]
+    yield "laurent cube markov-60", [partial(operator.pow, p, 3) for p in expansions]
     yield "laurent divide_exact markov-60", [partial((p * q).divide_exact, q)
                                              for p, q in pairs]
     yield "laurent divide_exact non-monic", [partial((p * q).divide_exact, q * G(1, 1))

@@ -45,8 +45,6 @@ from .seeds import (
     prime_namer,
 )
 
-CATALOG_KEYS = ("sl2", "a3", "affine-a11", "markov")
-
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -277,6 +275,7 @@ _BUILDERS = {
     "affine-a11": _build_affine,
     "markov": _build_markov,
 }
+CATALOG_KEYS = tuple(_BUILDERS)
 
 
 @functools.lru_cache(maxsize=None)

@@ -155,16 +155,7 @@ class GaussianRational:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        # result starts at one, which the first factor replaces unmultiplied
-        # (so x ** 1 is x), and base is squared only while bits remain
-        result, base, e = _ONE, self, exponent
-        while e:
-            if e & 1:
-                result = base if result is _ONE else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent) if exponent else _ONE
 
     def __str__(self) -> str:
         return format_gaussian(self)
@@ -187,6 +178,18 @@ def _reduced(a, b, d):
         if g != 1:
             a, b, d = a // g, b // g, d // g
     return _make(a, b, d)
+
+
+def _power(base, e):
+    """``base ** e`` for e >= 1 by square-and-multiply; x ** 1 is x itself."""
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else result * base
+        e >>= 1
+        if not e:
+            return result
+        base = base * base
 
 
 def _gaussian_integers(values):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re as _re
 
 from clusterwp.exact import GaussianRational
-from clusterwp.laurent import LaurentPoly, RationalFn, VarTable
+from clusterwp.laurent import LaurentPoly, RationalFn, VarTable, _IDENT_RE
 
 __all__ = ["ExprError", "parse_expression"]
 
@@ -33,8 +33,8 @@ class ExprError(ValueError):
         self.col = col
 
 
-_TOKEN_RE = _re.compile(r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)"
-                        r"|(?P<op>[-+*/^()]))")
+_TOKEN_RE = _re.compile(
+    rf"\s*(?:(?P<int>\d+)|(?P<ident>{_IDENT_RE.pattern})|(?P<op>[-+*/^()]))")
 
 
 def _tokenize(text: str):

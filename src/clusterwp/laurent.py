@@ -37,7 +37,7 @@ from math import gcd
 from operator import add, sub
 from typing import Iterator, Mapping
 
-from clusterwp.exact import GaussianRational, _coerce, _gaussian_integers, _reduced
+from clusterwp.exact import GaussianRational, _coerce, _gaussian_integers, _power, _reduced
 
 __all__ = [
     "DenominatorZero",
@@ -62,8 +62,7 @@ class NotDivisible(LaurentError):
     """Exact polynomial division has a nonzero remainder."""
 
 
-class NotLaurent(LaurentError):
-    """A rational function is not a Laurent polynomial."""
+NotLaurent = NotDivisible   # as_laurent's verdict: the fraction is not Laurent
 
 
 class Inhomogeneous(LaurentError):
@@ -87,6 +86,18 @@ class UnboundVariable(EvaluationError):
 
 
 _IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_']*")   # applied with fullmatch
+_RESERVED = frozenset({"i"})    # the imaginary unit of the expression grammar
+
+
+def _check_name(name, taken=()):
+    """``name`` if it may name a variable and is not in ``taken``, else ValueError."""
+    if not _IDENT_RE.fullmatch(name):
+        raise ValueError(f"invalid variable name: {name!r}")
+    if name in _RESERVED:
+        raise ValueError(f"variable name {name!r} is reserved for the imaginary unit")
+    if name in taken:
+        raise ValueError(f"duplicate variable name: {name!r}")
+    return name
 
 
 class VarTable:
@@ -102,13 +113,7 @@ class VarTable:
         names = tuple(names)
         seen = set()
         for n in names:
-            if not _IDENT_RE.fullmatch(n):
-                raise ValueError(f"invalid variable name: {n!r}")
-            if n == "i":
-                raise ValueError("variable name 'i' is reserved for the imaginary unit")
-            if n in seen:
-                raise ValueError(f"duplicate variable name: {n!r}")
-            seen.add(n)
+            seen.add(_check_name(n, seen))
         self.names = names
         self._index = {n: k for k, n in enumerate(names)}
 
@@ -312,18 +317,7 @@ class LaurentPoly:
             (exps, coeff), = self.terms.items()
             inv = _trusted(self.table, {tuple(-e for e in exps): coeff.inverse()})
             return inv ** (-exponent)
-        if not exponent:
-            return LaurentPoly.constant(self.table, 1)
-        # as GaussianRational.__pow__: the first factor is the result
-        # unmultiplied, and base is squared only while bits remain
-        result, base, e = None, self, exponent
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent) if exponent else LaurentPoly.constant(self.table, 1)
 
     def __truediv__(self, other):
         if (c := _coerce(other)) is not None:
@@ -713,10 +707,7 @@ class RationalFn:
         """The fraction as a Laurent polynomial, or NotLaurent."""
         if self.den == LaurentPoly.constant(self.table, 1):
             return self.num
-        try:
-            return self.num.divide_exact(self.den)
-        except NotDivisible as exc:
-            raise NotLaurent(str(exc)) from None
+        return self.num.divide_exact(self.den)
 
     def evaluate(self, values: Mapping[str, object]) -> GaussianRational:
         d = self.den.evaluate(values)

@@ -16,7 +16,7 @@ from math import prod
 
 from .exact import GaussianParseError, GaussianRational, parse_gaussian, rank
 from .forms import SymbolicForm, wp_form
-from .laurent import LaurentPoly, RationalFn, UnboundVariable, VarTable, _IDENT_RE
+from .laurent import LaurentPoly, RationalFn, UnboundVariable, VarTable, _check_name
 from .seeds import (
     InputFileError,
     NotFoundWithinBudget,
@@ -444,8 +444,10 @@ def parse_point_file(text, filename="<input>"):
         name, _, literal = stripped.partition("=")
         name = name.strip()
         literal = literal.strip()
-        if not _IDENT_RE.fullmatch(name) or name == "i":
-            raise PointFileError(filename, no, f"bad variable name {name!r}")
+        try:
+            _check_name(name)
+        except ValueError:
+            raise PointFileError(filename, no, f"bad variable name {name!r}") from None
         if name in values:
             raise PointFileError(filename, no, f"duplicate assignment to {name}")
         try:

@@ -30,7 +30,7 @@ from itertools import islice
 from math import gcd, lcm
 from operator import mul
 
-from .laurent import LaurentPoly, NotLaurent, VarTable
+from .laurent import LaurentPoly, NotLaurent, VarTable, _RESERVED, _check_name
 
 
 class NotSkewSymmetrizable(ValueError):
@@ -183,21 +183,21 @@ def _fresh(name, taken):
 
 def prime_namer(seed, k):
     """The default namer: the prime-toggle of the name at slot k, with primes
-    appended until it differs from every name of the seed."""
-    return _fresh(prime_toggle(seed.names[k - 1]), set(seed.names))
+    appended until it differs from every name of the seed and is not reserved."""
+    return _fresh(prime_toggle(seed.names[k - 1]), {*seed.names, *_RESERVED})
 
 
 def _walk_namer(seed, namer=prime_namer):
     """The naming routine ``(s, k) -> name`` of a walk from ``seed``.  The
     variable that replaces slot k of s is told apart by g-vector (``g``, if
-    given): the first time it is met it is named ``namer(s, k)``, primed
-    until it differs from every name given so far, and it keeps that name."""
+    given): the first time it is met it is named ``namer(s, k)``, a valid
+    name, primed until it differs from every name given so far; it keeps it."""
     names, taken = dict(zip(seed.gvectors, seed.names)), set(seed.names)
 
     def name(s, k, g=None):
         g = s._partner_gvector(k) if g is None else g
         if g not in names:
-            names[g] = _fresh(namer(s, k), taken)
+            names[g] = _fresh(_check_name(namer(s, k)), taken)
         return names[g]
     return name
 
@@ -239,7 +239,8 @@ def _exchange_binomial(chart, k, power, table):
 
 def _exchange_partner(chart, k, power, table):
     """x_k' = P_k / x_k, x_k being ``power(name, 1)``.  Raises NotLaurent if
-    that is not Laurent."""
+    that is not Laurent.  It divides through RationalFn, where a monomial x_k
+    normalizes to a denominator of 1 without a division."""
     binomial = _exchange_binomial(chart, k, power, table)
     return (binomial / power(chart[1][k - 1], 1)).as_laurent()
 
@@ -281,9 +282,12 @@ class Seed:
 
     def mutated(self, k, new_name=None):
         """Seed mutation in direction k; the replaced variable is renamed
-        ``new_name``, by default ``prime_namer(self, k)``.  The c-vectors
-        mutate as m extra matrix columns."""
+        ``new_name``, by default ``prime_namer(self, k)``; a new name other
+        than the old one must be valid and carried by no other slot, else
+        ValueError.  The c-vectors mutate as m extra matrix columns."""
         matrix, names = _chart(self, k, new_name)
+        if new_name is not None and new_name != self.names[k - 1]:
+            _check_name(new_name, self.names)
         kk = k - 1
         pivot = self.cvectors[kk]
         cvectors = []
@@ -448,8 +452,8 @@ class Exploration:
     it is computed on first read.  A new variable must sit in a slot k of a
     seed that is mu_k of an earlier seed; its expansion is the exchange
     partner there, one exact division, and each power of an expansion that
-    the exchange binomials need is formed once.  ``truncated`` records
-    whether the search stopped before exhausting the mutation graph."""
+    the exchange binomials need is formed once.  ``truncated``: the seed
+    budget bit, or a kept seed lies unexpanded at the depth cap (``explore``)."""
 
     def __init__(self, seeds, truncated):
         self.seeds = tuple(seeds)

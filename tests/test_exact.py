@@ -378,8 +378,10 @@ def test_microbench_smoke(capsys):
     script = Path(__file__).parent.parent / "scripts" / "microbench.py"
     runpy.run_path(str(script))["main"](repeat=1)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 13 and all(line.endswith(" us/call") for line in lines)
-    for label in ("laurent square markov-60", "laurent divide_exact markov-60",
+    assert len(lines) == 16 and all(line.endswith(" us/call") for line in lines)
+    for label in ("gaussian ** integral", "gaussian ** non-integral",
+                  "laurent square markov-60", "laurent cube markov-60",
+                  "laurent divide_exact markov-60",
                   "laurent divide_exact non-monic", "regularity propagate_point a5",
                   "regularity verify_point a5", "regularity tangent_dimension a5"):
         assert any(line.startswith(label) for line in lines)

@@ -8,6 +8,8 @@ its quotients and verdicts.
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,31 @@ def test_ring_results_are_well_formed(data):
         _assert_well_formed(poly, T2)
     twin = LaurentPoly(T2, dict(f.terms))
     assert twin is not f and f * f == f * twin
+
+
+def test_power_edge_cases():
+    p = X0 ** -1 * X1 + 2
+    assert p ** 1 is p
+    assert p ** 0 == ONE2 and (X0 - X0) ** 0 == ONE2
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_power_is_the_repeated_product(data):
+    """``x ** e`` is the e-fold product for e in 0..8 on Gaussian scalars and
+    Laurent polynomials, and ``x ** -e`` that of the inverse on nonzero
+    scalars and on monomials."""
+    e = data.draw(st.integers(0, 8))
+    z = data.draw(st.builds(G, _PARTS, _PARTS))
+    f = data.draw(random_polys(T2))
+    assert z ** e == reduce(mul, [z] * e, G(1))
+    assert f ** e == reduce(mul, [f] * e, ONE2)
+    if z:
+        assert z ** -e == reduce(mul, [z.inverse()] * e, G(1))
+    exps = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    c = data.draw(st.builds(G, _PARTS, _PARTS).filter(bool))
+    inverse = LaurentPoly(T2, {tuple(-x for x in exps): c.inverse()})
+    assert LaurentPoly(T2, {exps: c}) ** -e == reduce(mul, [inverse] * e, ONE2)
 
 
 def test_cancelled_terms_are_dropped():
@@ -298,6 +325,16 @@ def test_as_laurent_simple():
 def test_as_laurent_failure():
     with pytest.raises(NotLaurent):
         RationalFn(X0 ** 2 + X1, X0 + X1).as_laurent()
+
+
+def test_not_laurent_is_the_division_verdict():
+    assert NotLaurent is NotDivisible
+    num, den = X0 ** 2 + X1, X0 + X1
+    with pytest.raises(NotDivisible) as direct:
+        num.divide_exact(den)
+    with pytest.raises(NotLaurent) as via:
+        RationalFn(num, den).as_laurent()
+    assert str(via.value) == str(direct.value)
 
 
 def test_substitution_frozen():

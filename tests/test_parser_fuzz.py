@@ -7,14 +7,18 @@ text, a parser returns or raises the shared file error (``SeedFileError``,
 ``FormFileError`` and ``PointFileError`` name one class) with a one-line
 message; nothing else may escape.  Exponents stay one digit: the size of
 exponent literals is not bounded yet.  A last test pins the line numbers
-that the shared reader gives past comments, blank lines and CRLF endings.
+that the shared reader gives past comments, blank lines and CRLF endings,
+and another that point files and expressions take names by ``VarTable``'s
+rule.
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from clusterwp.exprs import ExprError, _tokenize
 from clusterwp.forms import FormFileError, parse_form_file
+from clusterwp.laurent import VarTable
 from clusterwp.regularity import PointFileError, parse_point_file
 from clusterwp.seeds import ExchangeMatrix, Seed, SeedFileError, parse_seed_file
 
@@ -122,3 +126,27 @@ def test_file_errors_count_comment_blank_and_crlf_lines(parse, text):
     assert (exc.value.filename, exc.value.line) == ("f", 4)
     assert str(exc.value) == f"f:4: {exc.value.reason}"
     assert SeedFileError is FormFileError is PointFileError
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("abxXZ019_'i\u00e9", max_size=4))   # with one non-ASCII letter
+def test_names_follow_the_vartable_rule(name):
+    """A point file takes ``name``, and an expression reads it as one
+    identifier token, exactly when VarTable does; an expression also reads
+    ``i``, as the imaginary unit."""
+    try:
+        VarTable([name])
+        valid = True
+    except ValueError:
+        valid = False
+    try:
+        taken = parse_point_file(f"{name} = 1\n") == {name: 1}
+    except PointFileError as exc:
+        assert exc.reason == f"bad variable name {name!r}"
+        taken = False
+    try:
+        one_identifier = _tokenize(name) == [("ident", name, 1)]
+    except ExprError:
+        one_identifier = False
+    assert taken == valid
+    assert one_identifier == (valid or name == "i")

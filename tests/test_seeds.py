@@ -202,6 +202,13 @@ def test_prime_namer_is_fresh_in_the_seed():
     assert twins_seed().mutated(2).names == ("x", "x''")
 
 
+def test_prime_namer_never_gives_the_imaginary_unit():
+    # the toggle of i' is i, which names the imaginary unit
+    seed = Seed.initial(ExchangeMatrix(1, 2, ((0, 1),)), ("i'", "c"))
+    assert seed.mutated(1).names == ("i''", "c")
+    assert [s.names for s in explore(seed).seeds] == [("i'", "c"), ("i''", "c")]
+
+
 def test_custom_name():
     s = affine_seed().mutated(1, new_name="x2")
     assert s.names == ("x2", "x1")
@@ -528,8 +535,35 @@ def test_exploration_rejects_inconsistent_names():
     with pytest.raises(ValueError, match="named both"):
         Exploration([s, s.mutated(1, "y"), s.mutated(1, "y").mutated(1, "z")],
                     truncated=True)
+    # Seed.mutated refuses a name another slot carries, so build the seed
+    t = s.mutated(1)
     with pytest.raises(ValueError, match="reused"):
-        Exploration([s, s.mutated(1, "x14")], truncated=True)
+        Exploration([s, Seed(t.matrix, ("x14",) + t.names[1:], t.gvectors, t.cvectors)],
+                    truncated=True)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("x14", "duplicate variable name: 'x14'"),
+    ("bad name!", "invalid variable name: 'bad name!'"),
+    ("i", "variable name 'i' is reserved for the imaginary unit"),
+], ids=["carried", "not-an-identifier", "reserved"])
+def test_mutated_refuses_a_bad_new_name(name, message):
+    with pytest.raises(ValueError) as exc:
+        catalog("a3").seed.mutated(1, name)
+    assert str(exc.value) == message
+
+
+def test_mutated_keeps_the_old_name_and_round_trips():
+    a3 = catalog("a3").seed
+    assert a3.mutated(1, "x13").names == ("x13", "x14", "x15")
+    renamed = a3.mutated(1, "y")
+    again = parse_seed_file(emit_seed_file(renamed))
+    assert (again.matrix, again.names) == (renamed.matrix, renamed.names)
+
+
+def test_explore_refuses_a_namer_that_gives_a_bad_name():
+    with pytest.raises(ValueError, match="invalid variable name: 'x y'"):
+        explore(catalog("a3").seed, max_seeds=5, namer=lambda s, k: "x y")
 
 
 @pytest.mark.parametrize("seed,max_seeds,mutations", [
