@@ -14,7 +14,10 @@ Gaussian integers, so the remainder is rescaled.  ``propagate_point`` runs
 on the full A_5 exploration (132 clusters, 660 exchange relations) from one
 fixed Q(i) point of its first chart, ``verify_point`` on the point it
 propagates to, and ``tangent_dimension`` on the acyclic presentation of that
-first chart at the same point.
+first chart at the same point.  ``rational substitute`` substitutes
+x_k' = P_k/x_k into every coefficient of the chart form of mu_k(seed), and
+``pullback`` pulls that form back to the seed, for every direction k of
+the a3 and markov catalog seeds.
 
 Usage:  python3 scripts/microbench.py [--repeat N]
 """
@@ -23,19 +26,22 @@ import argparse
 import operator
 import time
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 
 from clusterwp import (
     AlgebraPoint,
     ExchangeMatrix,
     GaussianRational,
+    RationalFn,
     Seed,
     acyclic_presentation,
     catalog,
     explore,
     propagate_point,
+    pullback,
     tangent_dimension,
     verify_point,
+    wp_form,
 )
 
 G = GaussianRational
@@ -91,8 +97,30 @@ def point_cases():
     yield "regularity tangent_dimension a5", [partial(tangent_dimension, pres, at)] * 20
 
 
+def form_cases():
+    substitutions, pullbacks = [], []
+    for key in ("a3", "markov"):
+        seed = catalog(key).seed
+        table = seed.chart()
+        x = {nm: RationalFn.variable(table, nm) for nm in seed.names}
+        for k in range(1, seed.matrix.m + 1):
+            row = [seed.matrix.b(k, j) for j in range(1, seed.matrix.n + 1)]
+            pos, neg = (reduce(operator.mul, [x[nm] ** (s * b) for nm, b in
+                                              zip(seed.names, row) if s * b > 0], 1)
+                        for s in (1, -1))
+            mutated = seed.mutated(k)
+            bindings = {**x, mutated.names[k - 1]: (pos + neg) / x[seed.names[k - 1]]}
+            form = wp_form(mutated)
+            substitutions += [partial(c.substitute, bindings, table)
+                              for c in form.coeffs.values()]
+            pullbacks.append(partial(pullback, form, seed, k))
+    yield "rational substitute a3/markov", substitutions * 4
+    yield "pullback a3/markov", pullbacks * 4
+
+
 def main(repeat=5):
-    for label, calls in [*scalar_cases(), *laurent_cases(), *point_cases()]:
+    for label, calls in [*scalar_cases(), *laurent_cases(), *point_cases(),
+                         *form_cases()]:
         print(f"{label:34s} {per_call_us(calls, repeat):10.2f} us/call")
 
 

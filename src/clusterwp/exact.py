@@ -226,7 +226,7 @@ _ONE = GaussianRational(1)
 # the identity and emitted files are stable byte-for-byte.
 # ---------------------------------------------------------------------------
 
-_RAT = r"\d+(?:/\d+)?"
+_RAT = r"[0-9]+(?:/[0-9]+)?"    # ASCII digits only, as in every reader
 _REAL_RE = _re.compile(rf"^[+-]?{_RAT}$")
 _IMAG_RE = _re.compile(rf"^([+-]?)({_RAT})?i$")
 _FULL_RE = _re.compile(rf"^([+-]?{_RAT})([+-])({_RAT})?i$")

@@ -34,7 +34,7 @@ class ExprError(ValueError):
 
 
 _TOKEN_RE = _re.compile(
-    rf"\s*(?:(?P<int>\d+)|(?P<ident>{_IDENT_RE.pattern})|(?P<op>[-+*/^()]))")
+    rf"\s*(?:(?P<int>[0-9]+)|(?P<ident>{_IDENT_RE.pattern})|(?P<op>[-+*/^()]))")
 
 
 def _tokenize(text: str):

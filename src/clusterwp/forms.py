@@ -165,9 +165,11 @@ def reduce_to_chart(form, chart):
 def _reduce(terms, gens, chart):
     """The ChartForm of the terms c·dg∧dh, where ``gens`` maps every name
     that the terms or their coefficients use to its Laurent expansion in
-    the chart."""
+    the chart.  The wedge of slot (i, j) is ∂_i g ∂_j h - ∂_j g ∂_i h, and
+    of its two products only those whose factors both have terms are
+    formed (a chart variable's partials are a unit vector)."""
     chart_table = chart.chart()
-    bindings = {nm: RationalFn(exp) for nm, exp in gens.items()}
+    bindings = {nm: exp.as_rational() for nm, exp in gens.items()}
     partials = {nm: [exp.partial(v) for v in chart.names]
                 for nm, exp in gens.items()}
     slots = {}
@@ -177,8 +179,13 @@ def _reduce(terms, gens, chart):
             continue
         pg, ph = partials[g], partials[h]
         for i, j in itertools.combinations(range(len(chart.names)), 2):
-            wedge = pg[i] * ph[j] - pg[j] * ph[i]
-            if wedge.is_zero:
+            left = pg[i] * ph[j] if pg[i] and ph[j] else None
+            right = pg[j] * ph[i] if pg[j] and ph[i] else None
+            if right is None:
+                wedge = left
+            else:
+                wedge = -right if left is None else left - right
+            if wedge is None or wedge.is_zero:
                 continue
             slot = (i + 1, j + 1)
             contribution = c * wedge

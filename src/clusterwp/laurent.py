@@ -17,6 +17,8 @@ Representation choices that the rest of the package leans on:
   multivariate gcd: equality is decided by cross-multiplication, and the
   only simplification ever applied is moving the denominator's monomial
   content into the numerator (so monomial denominators normalize to 1).
+  Every denominator is thus *normal*, and ring operations on fractions
+  keep it so without renormalizing (see ``RationalFn``).
   Exact division exists for the one case the theory needs: deciding whether
   a fraction is a Laurent polynomial.  It runs over Gaussian integers: the
   remainder and the divisor are ``(a, b)`` pairs over one common
@@ -37,7 +39,8 @@ from math import gcd
 from operator import add, sub
 from typing import Iterator, Mapping
 
-from clusterwp.exact import GaussianRational, _coerce, _gaussian_integers, _power, _reduced
+from clusterwp.exact import (
+    _ONE, GaussianRational, _coerce, _gaussian_integers, _power, _reduced)
 
 __all__ = [
     "DenominatorZero",
@@ -283,6 +286,10 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._require_same(other)
+        if _is_one(other):
+            return self
+        if _is_one(self):
+            return other
         out = {}
         if other is self:
             # a square forms each cross term once, in the order (and so
@@ -317,7 +324,7 @@ class LaurentPoly:
             (exps, coeff), = self.terms.items()
             inv = _trusted(self.table, {tuple(-e for e in exps): coeff.inverse()})
             return inv ** (-exponent)
-        return _power(self, exponent) if exponent else LaurentPoly.constant(self.table, 1)
+        return _power(self, exponent) if exponent else _one(self.table)
 
     def __truediv__(self, other):
         if (c := _coerce(other)) is not None:
@@ -468,7 +475,7 @@ class LaurentPoly:
     # -- conversions -----------------------------------------------------
 
     def as_rational(self) -> "RationalFn":
-        return RationalFn(self, LaurentPoly.constant(self.table, 1))
+        return _normal(self, _one(self.table))
 
     def canonical_key(self) -> tuple:
         """Hashable, totally ordered key; equal polynomials share it."""
@@ -526,6 +533,16 @@ def _trusted(table: VarTable, terms: dict) -> LaurentPoly:
     return poly
 
 
+def _one(table: VarTable) -> LaurentPoly:
+    return _trusted(table, {(0,) * len(table): _ONE})
+
+
+def _is_one(poly: LaurentPoly) -> bool:
+    terms = poly.terms
+    c = terms.get((0,) * len(poly.table.names)) if len(terms) == 1 else None
+    return c is not None and c == _ONE
+
+
 def _grlex_packing(vectors: list) -> tuple:
     """``(pack, unpack)`` between exponent vectors of nonnegative entries and
     integers: ``e`` packs to the integer with the digits ``sum(e), e_1, ...,
@@ -568,10 +585,14 @@ def _gaussian_expr(c: GaussianRational) -> str:
 class RationalFn:
     """Quotient of Laurent polynomials, normalized only up to monomial content.
 
-    The denominator is content-free (minimum exponent zero in every
+    The denominator is normal: content-free (minimum exponent zero in every
     variable) and monic in the graded-lex leading coefficient; a monomial
     denominator therefore normalizes to 1 with everything absorbed into the
-    (Laurent) numerator.  Equality is cross-multiplication.
+    (Laurent) numerator.  Equality is cross-multiplication.  This
+    constructor normalizes (``inverse``, ``/`` and ``substitute`` call it);
+    ``+``, ``*``, ``**`` and ``as_rational`` only multiply normal
+    denominators, whose products are normal (lowest exponents add, grlex
+    leaders multiply), and skip it by ``_normal``.
     """
 
     __slots__ = ("num", "den")
@@ -583,7 +604,7 @@ class RationalFn:
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
-            den = LaurentPoly.constant(num.table, 1)
+            den = _one(num.table)
         else:
             content = den.monomial_content()
             if any(content):
@@ -638,9 +659,9 @@ class RationalFn:
         if other is None:
             return NotImplemented
         if self.den == other.den:
-            return RationalFn(self.num + other.num, self.den)
-        return RationalFn(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
+            return _normal(self.num + other.num, self.den)
+        return _normal(self.num * other.den + other.num * self.den,
+                       self.den * other.den)
 
     __radd__ = __add__
 
@@ -654,16 +675,13 @@ class RationalFn:
         return (-self) + other
 
     def __neg__(self):
-        out = object.__new__(RationalFn)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return _normal(-self.num, self.den)
 
     def __mul__(self, other):
         other = self._lift(other, self.table)
         if other is None:
             return NotImplemented
-        return RationalFn(self.num * other.num, self.den * other.den)
+        return _normal(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -689,7 +707,7 @@ class RationalFn:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        return RationalFn(self.num ** exponent, self.den ** exponent)
+        return _normal(self.num ** exponent, self.den ** exponent)
 
     def __eq__(self, other) -> bool:
         other = self._lift(other, self.table)
@@ -705,7 +723,7 @@ class RationalFn:
 
     def as_laurent(self) -> LaurentPoly:
         """The fraction as a Laurent polynomial, or NotLaurent."""
-        if self.den == LaurentPoly.constant(self.table, 1):
+        if _is_one(self.den):
             return self.num
         return self.num.divide_exact(self.den)
 
@@ -732,7 +750,7 @@ class RationalFn:
         return self.num.variables_used() | self.den.variables_used()
 
     def to_expr(self) -> str:
-        if self.den == LaurentPoly.constant(self.table, 1):
+        if _is_one(self.den):
             return self.num.to_expr()
         return f"({self.num.to_expr()})/({self.den.to_expr()})"
 
@@ -740,6 +758,14 @@ class RationalFn:
 
     def __repr__(self) -> str:
         return f"<RationalFn {self.to_expr()}>"
+
+
+def _normal(num: LaurentPoly, den: LaurentPoly) -> RationalFn:
+    """RationalFn(num, den) for a normal ``den``, without renormalizing."""
+    out = object.__new__(RationalFn)
+    out.num = num
+    out.den = den if num.terms else _one(num.table)
+    return out
 
 
 def _substitute_poly(poly: LaurentPoly, bindings: Mapping[str, RationalFn],

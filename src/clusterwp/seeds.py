@@ -639,7 +639,7 @@ def parse_seed_file(text, filename="<input>"):
 def _is_int(token):
     if token.startswith(("-", "+")):
         token = token[1:]
-    return token.isdecimal()
+    return token.isascii() and token.isdecimal()
 
 
 def emit_seed_file(seed):

@@ -823,6 +823,37 @@ def test_seed_file_superscript_digit_is_diagnosed(capsys, tmp_path, text, tail):
     assert err.count("\n") == 1 and err.endswith(tail + "\n")
 
 
+# int() and Fraction() read Arabic-Indic digits (\u0661 one, \u0662 two,
+# \u0663 three); every reader takes ASCII digits only
+
+
+def test_seed_file_arabic_indic_rank_is_diagnosed(capsys, tmp_path):
+    path = tmp_path / "a2.seed"
+    path.write_text("rank \u0662\nmutable 2\nnames x y\nrow 0 1\nrow -1 0\n",
+                    encoding="utf-8")
+    rc, out, err = run(capsys, "explore", str(path))
+    assert (rc, out, err) == (2, "", f"error: {path}:1: rank must be a single integer\n")
+
+
+def test_form_file_arabic_indic_digits_are_diagnosed(capsys, tmp_path):
+    odd = tmp_path / "odd.form"
+    odd.write_text("x^\u0661 + \u0662 ; x ; c1\n", encoding="utf-8")
+    wp = tmp_path / "wp.form"
+    wp.write_text("x^-1*c1^-1 ; x ; c1\nx^-1*c2^-1 ; x ; c2\n")
+    rc, out, err = run(capsys, "equal", "sl2", str(odd), str(wp))
+    assert (rc, out) == (2, "")
+    assert err == f"error: {odd}:1: col 3: unexpected character '\u0661'\n"
+
+
+def test_point_file_arabic_indic_digits_are_diagnosed(capsys, tmp_path):
+    path = tmp_path / "odd.point"
+    path.write_text("x = 1\nc1 = \u0662/\u0663\n", encoding="utf-8")
+    rc, out, err = run(capsys, "tangent", "sl2", "--point", str(path))
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {path}:2: '\u0662/\u0663' is not a Gaussian "
+                   "rational literal\n")
+
+
 # ---------------------------------------------------------------------------
 # fresh names: a seed file whose second name is the prime-toggle of its first
 

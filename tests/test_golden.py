@@ -7,11 +7,13 @@ skew-symmetrizable seed with coefficients), of failing ``invariance``
 runs (``c3.seed`` at depths 3 and 4, ``m2.seed`` at depth 4; the depth-4
 transcripts were captured from the chained pullbacks), of the commands
 that name new variables (``present``, ``mutate``, ``regularize`` without a
-search, ``tangent`` over a catalog presentation) and of
+search, ``tangent`` over a catalog presentation), of ``equal`` runs whose
+difference has a denominator of more than one term (the a3 and markov
+chart forms against forms with binomial denominators) and of
 ``scripts/tour.py``, which calls every walker consumer.  A refactor of the walk, of the naming or of the form reduction
 must reproduce them byte for byte; they are never regenerated from the
-code under test.  ``@name`` in an argument list names a seed or point
-file in the golden directory.
+code under test.  ``@name`` in an argument list names a seed, point or
+form file in the golden directory.
 """
 
 import runpy
@@ -57,6 +59,10 @@ CASES = [
     ("mutate-affine-a11-121", 0, ["mutate", "affine-a11", "1", "2", "1"]),
     ("regularize-sl2-1", 0, ["regularize", "sl2", "--pattern", "1"]),
     ("tangent-a3-deep", 0, ["tangent", "a3", "--point", "@a3-deep.point"]),
+    ("equal-a3-binomial-den", 1,
+     ["equal", "a3", "@a3-wp.form", "@a3-binomial-den.form"]),
+    ("equal-markov-binomial-den", 1,
+     ["equal", "markov", "@markov-wp.form", "@markov-binomial-den.form"]),
 ]
 
 

@@ -4,12 +4,13 @@ Frozen expectations were derived by hand and cross-checked numerically; the
 sympy oracle tests re-derive division verdicts and products independently.
 The field loop that ``divide_exact`` replaced, one ``max`` per step over
 Q(i) coefficients, stays here as ``reference_divide_exact``, the oracle of
-its quotients and verdicts.
+its quotients and verdicts.  ``RationalFn``'s own constructor, which
+normalizes any denominator, is the oracle of the operations that skip it.
 """
 
 from fractions import Fraction
 from functools import reduce
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -455,6 +456,44 @@ def test_cross_mult_consistent_with_arithmetic(data):
     assert a * b == a_scaled * b
 
 
+def _items(poly):
+    return list(poly.terms.items())
+
+
+def reference_product(f, g):
+    """The term list of f * g by the plain double loop, with no shortcut."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+    return [(e, c) for e, c in out.items() if c]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_fast_paths_keep_the_normal_form(data):
+    """``+``, ``-``, ``*``, ``**``, ``constant`` and ``as_rational`` build
+    their fractions without renormalizing; renormalizing them by
+    ``RationalFn(num, den)`` changes no term and no term order.  The same
+    holds for ``inverse`` and ``/``, which do normalize, and a product with
+    the constant 1 is the other factor term for term."""
+    a, b = data.draw(rationals(T2)), data.draw(rationals(T2))
+    c = data.draw(_COEFFS)
+    e = data.draw(st.integers(0, 3))
+    results = [a + b, a + a, a - b, a + c, -a, a * b, a * a, a * c, a ** e,
+               RationalFn.constant(T2, c), a.num.as_rational(), (a - a)]
+    if b:
+        results += [b.inverse(), a / b, a ** -1 if a else b ** -2]
+    for r in results:
+        again = RationalFn(r.num, r.den)
+        assert (_items(r.num), _items(r.den)) == (_items(again.num), _items(again.den))
+    for g in (LaurentPoly.constant(T2, 1), LaurentPoly.constant(T2, c), b.den):
+        for f in (a.num, a.den, b.num):
+            assert _items(f * g) == reference_product(f, g)
+            assert _items(g * f) == reference_product(g, f)
+
+
 # ---------------------------------------------------------------------------
 # deterministic rendering
 # ---------------------------------------------------------------------------
@@ -515,17 +554,27 @@ def test_not_divisible_verdict_matches_sympy():
 T3 = VarTable(("x0", "x1", "x2"))
 
 _PARTS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_COEFFS = st.one_of(_PARTS.map(G), st.builds(G, _PARTS, _PARTS))
 
 
 def random_polys(table):
     """Up to four terms with Gaussian-rational coefficients, about half of
     them with a nonzero imaginary part."""
-    coeffs = st.one_of(_PARTS.map(G), st.builds(G, _PARTS, _PARTS))
     exps = st.tuples(*[st.integers(min_value=-3, max_value=3)] * len(table))
-    term = st.tuples(exps, coeffs)
+    term = st.tuples(exps, _COEFFS)
     return st.lists(term, min_size=0, max_size=4).map(
         lambda items: LaurentPoly(table, dict(items))
     )
+
+
+def rationals(table):
+    """``RationalFn(num, den)`` with Gaussian coefficients and a denominator
+    of one, two or three terms, so that its normal form is often a binomial
+    with a content shift and a rescaled leading coefficient."""
+    dens = st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * len(table)),
+                              _COEFFS.filter(bool)), min_size=1, max_size=3)
+    return st.builds(lambda num, terms: RationalFn(num, LaurentPoly(table, dict(terms))),
+                     random_polys(table), dens.filter(lambda t: len(dict(t)) == len(t)))
 
 
 def divisors(table):

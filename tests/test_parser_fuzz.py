@@ -8,15 +8,16 @@ text, a parser returns or raises the shared file error (``SeedFileError``,
 message; nothing else may escape.  Exponents stay one digit: the size of
 exponent literals is not bounded yet.  A last test pins the line numbers
 that the shared reader gives past comments, blank lines and CRLF endings,
-and another that point files and expressions take names by ``VarTable``'s
-rule.
+another that point files and expressions take names by ``VarTable``'s
+rule, and one that all three readers take ASCII digits only.
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clusterwp.exprs import ExprError, _tokenize
+from clusterwp.exact import GaussianParseError, parse_gaussian
+from clusterwp.exprs import ExprError, _tokenize, parse_expression
 from clusterwp.forms import FormFileError, parse_form_file
 from clusterwp.laurent import VarTable
 from clusterwp.regularity import PointFileError, parse_point_file
@@ -150,3 +151,29 @@ def test_names_follow_the_vartable_rule(name):
         one_identifier = False
     assert taken == valid
     assert one_identifier == (valid or name == "i")
+
+
+# a numeral of one to three digits with at least one non-ASCII decimal digit
+unicode_numerals = st.lists(
+    st.one_of(st.characters(categories=["Nd"]), st.sampled_from("0123456789")),
+    min_size=1, max_size=3).map("".join).filter(lambda text: not text.isascii())
+
+
+@settings(max_examples=200, deadline=None)
+@given(unicode_numerals)
+@example("\u0662")        # Arabic-Indic two
+@example("1\uff10")       # fullwidth zero
+def test_only_ascii_digits_are_numbers(numeral):
+    """``int`` and ``Fraction`` read every Unicode decimal digit; the
+    expression, literal and seed readers reject a numeral with a non-ASCII
+    one, each with its own diagnostic."""
+    with pytest.raises(ExprError) as exc:
+        parse_expression(f"x^{numeral}", VarTable(["x"]))
+    assert exc.value.message.startswith("unexpected character")
+    for literal in (numeral, f"{numeral}/3", f"1/{numeral}", f"1+{numeral}i"):
+        with pytest.raises(GaussianParseError, match="not a Gaussian-rational literal"):
+            parse_gaussian(literal)
+    with pytest.raises(SeedFileError, match="rank must be a single integer"):
+        parse_seed_file(f"rank {numeral}\nmutable 1\nnames x\nrow 0\n")
+    with pytest.raises(SeedFileError, match="is not an integer"):
+        parse_seed_file(f"rank 2\nmutable 1\nnames x c\nrow 0 {numeral}\n")
