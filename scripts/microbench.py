@@ -17,7 +17,9 @@ propagates to, and ``tangent_dimension`` on the acyclic presentation of that
 first chart at the same point.  ``rational substitute`` substitutes
 x_k' = P_k/x_k into every coefficient of the chart form of mu_k(seed), and
 ``pullback`` pulls that form back to the seed, for every direction k of
-the a3 and markov catalog seeds.
+the a3 and markov catalog seeds.  ``wp_form`` builds the chart forms of
+those two seeds, and ``regularize_at`` rewrites the a3 seed's form at each
+of the four nonempty vanishing patterns it accepts.
 
 Usage:  python3 scripts/microbench.py [--repeat N]
 """
@@ -34,11 +36,13 @@ from clusterwp import (
     GaussianRational,
     RationalFn,
     Seed,
+    VanishingPattern,
     acyclic_presentation,
     catalog,
     explore,
     propagate_point,
     pullback,
+    regularize_at,
     tangent_dimension,
     verify_point,
     wp_form,
@@ -116,6 +120,11 @@ def form_cases():
             pullbacks.append(partial(pullback, form, seed, k))
     yield "rational substitute a3/markov", substitutions * 4
     yield "pullback a3/markov", pullbacks * 4
+    yield "wp_form a3/markov", [partial(wp_form, catalog(key).seed)
+                                for key in ("a3", "markov")] * 64
+    a3 = catalog("a3").seed
+    yield "regularize_at a3", [partial(regularize_at, a3, VanishingPattern(a3, frozenset(v)))
+                               for v in ({1}, {2}, {3}, {1, 3})] * 4
 
 
 def main(repeat=5):

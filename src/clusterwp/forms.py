@@ -17,7 +17,8 @@ The chart form of a seed is
     omega = sum_{i<j, i<=m} B_ij/(f_i f_j) df_i wedge df_j,
 
 the restricted-sum convention fixed by the printed rank-2 value 2/(x0 x1):
-summing over all ordered pairs would double it.
+summing over all ordered pairs would double it.  Its coefficients are the
+Laurent monomials B_ij f_i^-1 f_j^-1, written by ``_wp_coefficients`` alone.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import re
 
 from .exprs import ExprError, parse_expression
 from .laurent import (
-    Inhomogeneous, LaurentError, LaurentPoly, NotLaurent, RationalFn, VarTable)
+    Inhomogeneous, LaurentError, LaurentPoly, NotLaurent, RationalFn, VarTable,
+    _check_name)
 from .seeds import InputFileError, _chart, _content_lines, _exchange_partner
 
 
@@ -101,19 +103,19 @@ class ChartForm:
         return f"<ChartForm {{{inner}}}>"
 
 
+def _wp_coefficients(seed, table):
+    """The chart form's terms ``((i, j), B_ij f_i^-1 f_j^-1)`` for B_ij != 0,
+    i < j and i mutable, in slot order, over a ``table`` holding the seed's names."""
+    matrix, names = _chart(seed)
+    for i, j in itertools.combinations(range(matrix.n), 2):
+        if i < matrix.m and matrix.rows[i][j]:
+            yield (i + 1, j + 1), LaurentPoly.monomial(
+                table, {names[i]: -1, names[j]: -1}, matrix.rows[i][j]).as_rational()
+
+
 def wp_form(seed):
     """The Weil-Petersson chart form of a seed."""
-    table = seed.chart()
-    coeffs = {}
-    for i in range(1, seed.matrix.m + 1):
-        fi = LaurentPoly.variable(table, seed.names[i - 1])
-        for j in range(i + 1, seed.matrix.n + 1):
-            b = seed.matrix.b(i, j)
-            if b == 0:
-                continue
-            fj = LaurentPoly.variable(table, seed.names[j - 1])
-            coeffs[(i, j)] = RationalFn(LaurentPoly.constant(table, b), fi * fj)
-    return ChartForm(seed, coeffs)
+    return ChartForm(seed, dict(_wp_coefficients(seed, seed.chart())))
 
 
 class SymbolicForm:
@@ -295,7 +297,7 @@ def parse_form_file(text, chart, filename="<input>"):
                 for nm in chart.names}
     for no, name, expr_text in gen_lines:
         try:
-            VarTable(names + [name])
+            _check_name(name, names)
         except ValueError as exc:
             raise FormFileError(filename, no, str(exc)) from None
         try:

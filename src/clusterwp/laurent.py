@@ -737,6 +737,8 @@ class RationalFn:
                    into: VarTable) -> "RationalFn":
         """Substitute each variable by a rational function over `into`."""
         num = _substitute_poly(self.num, bindings, into)
+        if _is_one(self.den):
+            return num
         den = _substitute_poly(self.den, bindings, into)
         if den.is_zero:
             raise DenominatorZero(

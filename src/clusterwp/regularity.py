@@ -11,12 +11,12 @@ whenever no two vanishing variables are exchange-adjacent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
-from math import prod
 
-from .exact import GaussianParseError, GaussianRational, parse_gaussian, rank
-from .forms import SymbolicForm, wp_form
-from .laurent import LaurentPoly, RationalFn, UnboundVariable, VarTable, _check_name
+from .exact import _ONE, GaussianParseError, GaussianRational, parse_gaussian, rank
+from .forms import SymbolicForm, _wp_coefficients
+from .laurent import LaurentPoly, UnboundVariable, VarTable, _check_name
 from .seeds import (
     InputFileError,
     NotFoundWithinBudget,
@@ -26,6 +26,7 @@ from .seeds import (
     _content_lines,
     _exchange_monomials,
     _exchange_partner,
+    _exchange_sum,
     _partner_names,
     _seed_budget,
     _walk,
@@ -70,9 +71,7 @@ class AlgebraPoint:
 def _exchange_value(rel, a):
     """P = P+ + P- of an exchange relation at an assignment ``a`` that
     assigns every factor."""
-    one = GaussianRational.of(1)
-    return (prod([a[name] ** e for name, e in rel.pos], start=one)
-            + prod([a[name] ** e for name, e in rel.neg], start=one))
+    return _exchange_sum(rel.pos, rel.neg, lambda name, e: a[name] ** e, _ONE)
 
 
 def _binomial_values(a):
@@ -127,16 +126,14 @@ def verify_point(point):
                 issues.append(f"{rel.to_expr()} = {value}")
     else:
         value = _binomial_values(a)
-        products = {}   # (f, f') -> f*f'
+        product = cache(lambda f, g: a[f] * a[g])
         for rel in point.context.relations():
             if rel.partner is None or rel.var not in a or rel.partner not in a:
                 continue
             rhs = value(rel)
             if rhs is None:
                 continue
-            lhs = products.get((rel.var, rel.partner))
-            if lhs is None:
-                lhs = products[rel.var, rel.partner] = a[rel.var] * a[rel.partner]
+            lhs = product(rel.var, rel.partner)
             if lhs != rhs:
                 issues.append(f"{_relation_text(rel)} violated: {lhs} != {rhs}")
     return issues
@@ -306,27 +303,23 @@ def regularize_at(seed, pattern, namer=prime_namer):
                     f"B_{j}{i} = {mat.b(j, i)}")
 
     chart_table = seed.chart()
-    chart_vars = {nm: LaurentPoly.variable(chart_table, nm) for nm in seed.names}
     partners = _partner_names(seed, namer)
     extras = {partners[i - 1]: _exchange_partner(
-        _chart(seed), i, lambda nm, e: chart_vars[nm] ** e, chart_table) for i in v_sorted}
+        _chart(seed), i, lambda nm, e: LaurentPoly.monomial(chart_table, {nm: e}),
+        chart_table) for i in v_sorted}
 
     sym_table = VarTable(seed.names + tuple(extras))
-    var = {nm: LaurentPoly.variable(sym_table, nm) for nm in sym_table.names}
     terms = []
     for i in v_sorted:
         name_i, partner = seed.names[i - 1], partners[i - 1]
         pos, neg = _exchange_monomials(mat.rows[i - 1], seed.names)
-        multiplier = prod([var[nm] ** -e for nm, e in pos],
-                          start=LaurentPoly.constant(sym_table, 1))
-        terms.append((RationalFn(multiplier), name_i, partner))
-        terms += [(RationalFn(multiplier * var[partner] * -e, var[nm]), name_i, nm)
-                  for nm, e in neg]
-    for a, b in sorted(wp_form(seed).coeffs):
-        if {a, b}.isdisjoint(pattern.indices):
-            g, h = seed.names[a - 1], seed.names[b - 1]
-            terms.append((RationalFn(LaurentPoly.constant(sym_table, mat.b(a, b)),
-                                     var[g] * var[h]), g, h))
+        multiplier = {nm: -e for nm, e in pos}      # 1/P+
+        terms.append((LaurentPoly.monomial(sym_table, multiplier), name_i, partner))
+        terms += [(LaurentPoly.monomial(sym_table, {**multiplier, partner: 1, nm: -1}, -e),
+                   name_i, nm) for nm, e in neg]
+    terms += [(c, seed.names[a - 1], seed.names[b - 1])
+              for (a, b), c in _wp_coefficients(seed, sym_table)
+              if {a, b}.isdisjoint(pattern.indices)]
 
     form = SymbolicForm(seed, extras, terms)
     banned = set(pattern.names())

@@ -15,20 +15,19 @@ A new variable is named by a namer ``(seed, k) -> name``, by default
 ``prime_namer``, primed until fresh among the seed's names or all the names
 a walk has given (``_walk_namer``).  A seed's partners are the first ring
 of a walk from it, so ``explore``, ``present`` and both searches agree.
-Only ``_exchange_monomials`` reads P+ and P- off a matrix row, and a
-seed's chart, all that forms read of it, is ``_chart(seed)``: its matrix
-and names.
+Only ``_exchange_monomials`` reads P+ and P- off a matrix row and only
+``_exchange_sum`` adds them, in any ring; a seed's chart, all that forms
+read of it, is ``_chart(seed)``: its matrix and names.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
-from operator import mul
+from math import gcd, lcm, prod
 
 from .laurent import LaurentPoly, NotLaurent, VarTable, _RESERVED, _check_name
 
@@ -227,14 +226,19 @@ def _exchange_monomials(row, names):
             tuple((nm, -b) for nm, b in zip(names, row) if b < 0))
 
 
+def _exchange_sum(pos, neg, power, one):
+    """P+ + P- of the factors ``pos`` and ``neg`` in any ring: ``power(name,
+    e)`` gives a factor to the power e > 0, and a monomial with no factor is
+    the ring's ``one``."""
+    return (prod([power(nm, e) for nm, e in pos], start=one)
+            + prod([power(nm, e) for nm, e in neg], start=one))
+
+
 def _exchange_binomial(chart, k, power, table):
-    """P_k = P+ + P- of row k of a chart ``(matrix, names)``, ``power(name,
-    e)`` giving a factor to the power e > 0.  A monomial with no factor is 1."""
+    """P_k = P+ + P- of row k of a chart ``(matrix, names)`` over ``table``."""
     matrix, names = chart
-    pos, neg = ([power(nm, e) for nm, e in factors]
-                for factors in _exchange_monomials(matrix.rows[k - 1], names))
-    one = LaurentPoly.constant(table, 1)
-    return (reduce(mul, pos) if pos else one) + (reduce(mul, neg) if neg else one)
+    return _exchange_sum(*_exchange_monomials(matrix.rows[k - 1], names), power,
+                         LaurentPoly.constant(table, 1))
 
 
 def _exchange_partner(chart, k, power, table):
@@ -488,12 +492,7 @@ class Exploration:
     def variables(self):
         table = self.seeds[0].chart()
         variables = {nm: LaurentPoly.variable(table, nm) for nm in self.seeds[0].names}
-        powers = {}     # (name, exponent) -> that power of the variable's expansion
-
-        def power(name, e):
-            if (name, e) not in powers:
-                powers[name, e] = variables[name] ** e
-            return powers[name, e]
+        power = cache(lambda name, e: variables[name] ** e)
         # a parent's chart carries the exploration's names, as __init__ checks
         for name, parent, k in self._new:
             try:

@@ -2,11 +2,16 @@
 
 The reduction that formed both products and their difference for every
 slot pair stays here as ``reference_reduce``, the oracle of ``_reduce``,
-which forms only the products whose factors both have terms.
+which forms only the products whose factors both have terms.  The chart
+form that normalized ``B_ij/(f_i f_j)`` and the rewrite that multiplied out
+its powers of 1/P+ stay as ``reference_wp_form`` and
+``reference_regularize_at``, the oracles of the Laurent monomials that
+``wp_form`` and ``regularize_at`` now build directly.
 """
 
 import itertools
 import random
+from math import prod
 from pathlib import Path
 from unittest import mock
 
@@ -32,9 +37,10 @@ from clusterwp.forms import (
     wp_form,
 )
 from clusterwp.laurent import Inhomogeneous, LaurentPoly, RationalFn, VarTable
-from clusterwp.regularity import VanishingPattern, regularize_at
+from clusterwp.regularity import HypothesisViolated, VanishingPattern, regularize_at
 from clusterwp.seeds import (
-    ExchangeMatrix, Seed, acyclic_presentation, explore, is_acyclic, parse_seed_file)
+    ExchangeMatrix, Seed, _chart, _exchange_monomials, _exchange_partner, _partner_names,
+    acyclic_presentation, explore, is_acyclic, parse_seed_file, prime_namer)
 
 SL2 = Seed.initial(ExchangeMatrix(1, 3, ((0, 1, 1),)), ("x", "c1", "c2"))
 A3 = Seed.initial(
@@ -478,9 +484,12 @@ def _reduced_both_ways(reduce):
 
 
 def _pairs(form):
-    """Every slot's num/den term lists, in dict order."""
-    return [(slot, list(c.num.terms.items()), list(c.den.terms.items()))
-            for slot, c in form.coeffs.items()]
+    """Every coefficient's num/den term lists, in order, keyed by its slot
+    (ChartForm) or by its generators (SymbolicForm)."""
+    keyed = (form.coeffs.items() if isinstance(form, ChartForm)
+             else [((g, h), c) for c, g, h in form.terms])
+    return [(key, list(c.num.terms.items()), list(c.den.terms.items()))
+            for key, c in keyed]
 
 
 def _assert_pullbacks_match_reference(seed):
@@ -520,6 +529,82 @@ def test_reductions_match_the_dense_reduction_on_binomial_denominators(key, name
     assert emit_form_file(fast) == emit_form_file(ref)
     assert _pairs(fast) == _pairs(ref)
     assert any(len(c.den.terms) > 1 for c in fast.coeffs.values())
+
+
+def reference_wp_form(seed):
+    """The chart form with each coefficient normalized from B_ij/(f_i f_j)."""
+    table = seed.chart()
+    coeffs = {}
+    for i in range(1, seed.matrix.m + 1):
+        fi = LaurentPoly.variable(table, seed.names[i - 1])
+        for j in range(i + 1, seed.matrix.n + 1):
+            b = seed.matrix.b(i, j)
+            if b == 0:
+                continue
+            fj = LaurentPoly.variable(table, seed.names[j - 1])
+            coeffs[(i, j)] = RationalFn(LaurentPoly.constant(table, b), fi * fj)
+    return ChartForm(seed, coeffs)
+
+
+def reference_regularize_at(seed, pattern):
+    """The rewrite of an accepted pattern with 1/P+ multiplied out of
+    variables' powers and every monomial denominator normalized."""
+    vanishing = sorted(pattern.indices)
+    chart_table = seed.chart()
+    chart_vars = {nm: LaurentPoly.variable(chart_table, nm) for nm in seed.names}
+    partners = _partner_names(seed, prime_namer)
+    extras = {partners[i - 1]: _exchange_partner(
+        _chart(seed), i, lambda nm, e: chart_vars[nm] ** e, chart_table) for i in vanishing}
+    sym_table = VarTable(seed.names + tuple(extras))
+    var = {nm: LaurentPoly.variable(sym_table, nm) for nm in sym_table.names}
+    terms = []
+    for i in vanishing:
+        name_i, partner = seed.names[i - 1], partners[i - 1]
+        pos, neg = _exchange_monomials(seed.matrix.rows[i - 1], seed.names)
+        multiplier = prod([var[nm] ** -e for nm, e in pos],
+                          start=LaurentPoly.constant(sym_table, 1))
+        terms.append((RationalFn(multiplier), name_i, partner))
+        terms += [(RationalFn(multiplier * var[partner] * -e, var[nm]), name_i, nm)
+                  for nm, e in neg]
+    for a, b in sorted(reference_wp_form(seed).coeffs):
+        if {a, b}.isdisjoint(pattern.indices):
+            g, h = seed.names[a - 1], seed.names[b - 1]
+            terms.append((RationalFn(LaurentPoly.constant(sym_table, seed.matrix.b(a, b)),
+                                     var[g] * var[h]), g, h))
+    return SymbolicForm(seed, extras, terms)
+
+
+def _assert_monomials_match_reference(seed):
+    """``wp_form`` and ``regularize_at`` at every pattern it accepts give the
+    reference's num/den pairs, generators and bytes; returns the patterns."""
+    assert _pairs(wp_form(seed)) == _pairs(reference_wp_form(seed))
+    accepted = []
+    for size in range(seed.matrix.m + 1):
+        for indices in itertools.combinations(range(1, seed.matrix.m + 1), size):
+            pattern = VanishingPattern(seed, frozenset(indices))
+            try:
+                form = regularize_at(seed, pattern)
+            except (HypothesisViolated, ValueError):
+                continue
+            ref = reference_regularize_at(seed, pattern)
+            assert _pairs(form) == _pairs(ref)
+            assert ([(nm, list(exp.terms.items())) for nm, exp in form.gens.items()]
+                    == [(nm, list(exp.terms.items())) for nm, exp in ref.gens.items()])
+            assert emit_form_file(form) == emit_form_file(ref)
+            accepted.append(indices)
+    return accepted
+
+
+@pytest.mark.parametrize("key,accepted", [
+    ("sl2", 2), ("a3", 5), ("affine-a11", 3), ("markov", 4)])
+def test_chart_monomials_match_the_normalized_construction_on_the_catalog(key, accepted):
+    assert len(_assert_monomials_match_reference(catalog(key).seed)) == accepted
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_seeds(max_frozen=2))
+def test_chart_monomials_match_the_normalized_construction_on_random_seeds(seed):
+    assert () in _assert_monomials_match_reference(seed)
 
 
 # Two paths meet at one seed: the square mu_1 mu_3 = mu_3 mu_1 in A3, and
@@ -696,6 +781,17 @@ def test_form_file_errors(text, fragment):
         parse_form_file(text, AFFINE, "bad.form")
     assert "bad.form" in str(exc.value)
     assert fragment.lower() in str(exc.value).lower()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("gen i = x0\n", "bad.form:1: variable name 'i' is reserved for the imaginary unit"),
+    ("gen 2x = x0\n", "bad.form:1: invalid variable name: '2x'"),
+    ("gen g = x0\ngen g = x1\n", "bad.form:2: duplicate variable name: 'g'"),
+])
+def test_form_file_gen_name_errors(text, message):
+    with pytest.raises(FormFileError) as exc:
+        parse_form_file(text, AFFINE, "bad.form")
+    assert str(exc.value) == message
 
 
 def test_form_file_comments_and_blanks():

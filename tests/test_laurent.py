@@ -5,20 +5,26 @@ sympy oracle tests re-derive division verdicts and products independently.
 The field loop that ``divide_exact`` replaced, one ``max`` per step over
 Q(i) coefficients, stays here as ``reference_divide_exact``, the oracle of
 its quotients and verdicts.  ``RationalFn``'s own constructor, which
-normalizes any denominator, is the oracle of the operations that skip it.
+normalizes any denominator, is the oracle of the operations that skip it,
+and ``reference_substitute``, which always divides by the substituted
+denominator, that of ``substitute``, which skips a denominator of 1.
 """
 
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterwp.catalog import CATALOG_KEYS, catalog
 from clusterwp.exact import GaussianRational
+from clusterwp.forms import check_invariance
 from clusterwp.laurent import (
     _grlex,
+    _substitute_poly,
     DenominatorZero,
     Inhomogeneous,
     LaurentPoly,
@@ -362,6 +368,52 @@ def test_substitution_zero_denominator():
     zero = LaurentPoly.zero(T2).as_rational()
     with pytest.raises(DenominatorZero):
         f.substitute({"x0": zero}, T2)
+
+
+def reference_substitute(f, bindings, into):
+    """``f.substitute(bindings, into)`` by substituting into both parts and
+    dividing, whatever the denominator."""
+    num = _substitute_poly(f.num, bindings, into)
+    den = _substitute_poly(f.den, bindings, into)
+    if den.is_zero:
+        raise DenominatorZero("denominator vanishes under substitution")
+    return num / den
+
+
+def _assert_substitute_matches_reference(f, bindings, into):
+    got, want = f.substitute(bindings, into), reference_substitute(f, bindings, into)
+    assert (_items(got.num), _items(got.den)) == (_items(want.num), _items(want.den))
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_substitution_over_a_denominator_of_one_matches_the_division(data):
+    # values of one or two terms, and quotients of two such, keep the
+    # powers up to 3 of the substitution small
+    short = st.lists(st.tuples(st.tuples(*[st.integers(-1, 1)] * 3), _COEFFS.filter(bool)),
+                     min_size=1, max_size=2).map(lambda items: LaurentPoly(T3, dict(items)))
+    values = st.one_of(short.map(LaurentPoly.as_rational),
+                       st.builds(lambda p, q: p / q, short, short))
+    f = data.draw(random_polys(T2)).as_rational()
+    bindings = {nm: data.draw(values) for nm in T2.names}
+    _assert_substitute_matches_reference(f, bindings, T3)
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_substitution_in_catalog_pullbacks_matches_the_division(key):
+    calls = []
+    substitute = RationalFn.substitute
+
+    def recorded(f, bindings, into):
+        calls.append((f, bindings, into))
+        return substitute(f, bindings, into)
+
+    with mock.patch.object(RationalFn, "substitute", recorded):
+        check_invariance(catalog(key).seed, 2)
+    assert any(len(f.den.terms) == 1 and not any(f.den.leading_exponents())
+               for f, _, _ in calls)
+    for f, bindings, into in calls:
+        _assert_substitute_matches_reference(f, bindings, into)
 
 
 def test_substitution_unbound():
