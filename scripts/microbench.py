@@ -14,7 +14,9 @@ Gaussian integers, so the remainder is rescaled.  ``propagate_point`` runs
 on the full A_5 exploration (132 clusters, 660 exchange relations) from one
 fixed Q(i) point of its first chart, ``verify_point`` on the point it
 propagates to, and ``tangent_dimension`` on the acyclic presentation of that
-first chart at the same point.  ``rational substitute`` substitutes
+first chart at the same point.  ``exact rank a8`` is the rank of the
+Jacobian of the A_8 acyclic presentation at one fixed Q(i) point of the
+variety.  ``rational substitute`` substitutes
 x_k' = P_k/x_k into every coefficient of the chart form of mu_k(seed), and
 ``pullback`` pulls that form back to the seed, for every direction k of
 the a3 and markov catalog seeds.  ``wp_form`` builds the chart forms of
@@ -42,6 +44,7 @@ from clusterwp import (
     explore,
     propagate_point,
     pullback,
+    rank,
     regularize_at,
     tangent_dimension,
     verify_point,
@@ -88,10 +91,22 @@ def laurent_cases():
                                              for p, q in pairs]
 
 
+def linear_seed(n):
+    """The linearly oriented A_n seed on the variables a, b, c, ..."""
+    rows = tuple(tuple((j == i + 1) - (j == i - 1) for j in range(n)) for i in range(n))
+    return Seed.initial(ExchangeMatrix(n, n, rows), tuple("abcdefgh"[:n]))
+
+
 def point_cases():
-    rows = tuple(tuple((j == i + 1) - (j == i - 1) for j in range(5)) for i in range(5))
-    names = ("a", "b", "c", "d", "e")
-    seed = Seed.initial(ExchangeMatrix(5, 5, rows), names)
+    pres = acyclic_presentation(linear_seed(8))
+    at = {nm: G(k + 2, k % 3 - 1) for k, nm in enumerate(pres.names)}
+    for nm, partner, rel in zip(pres.names, pres.primed_names, pres.relations):
+        at[partner] = -rel.evaluate({**at, partner: 0}) / at[nm]   # x * x' = P
+    jacobian = [[rel.partial(nm).evaluate(at) for nm in pres.table.names]
+                for rel in pres.relations]
+    yield "exact rank a8", [partial(rank, jacobian)] * 20
+    seed = linear_seed(5)
+    names = seed.names
     a5, pres = explore(seed), acyclic_presentation(seed)
     start = AlgebraPoint(dict(zip(names, (G(2), G(1, 1), G(Fraction(-1, 2)), G(3), G(0, 5)))), a5)
     full, _ = propagate_point(start, a5)

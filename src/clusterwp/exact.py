@@ -271,8 +271,8 @@ def format_gaussian(value: GaussianRational) -> str:
 # ---------------------------------------------------------------------------
 
 def rank(rows) -> int:
-    """Rank over Q(i) of a sequence of rows of scalars, by Gaussian
-    elimination; exact, no pivot thresholds."""
+    """Rank over Q(i) of a sequence of rows of scalars: forward elimination
+    to an echelon form, counting the pivots; exact, no pivot thresholds."""
     rows = [[GaussianRational.of(x) for x in row] for row in rows]
     ncols = len(rows[0]) if rows else 0
     if any(len(row) != ncols for row in rows):
@@ -284,10 +284,9 @@ def rank(rows) -> int:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][col].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
+        for i in range(r + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col] * inv
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         r += 1
         if r == len(rows):

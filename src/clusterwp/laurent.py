@@ -351,27 +351,22 @@ class LaurentPoly:
             for exps, c in self.terms.items() if exps[k]})
 
     def evaluate(self, values: Mapping[str, object]) -> GaussianRational:
-        """Exact evaluation; distinct errors for the distinct failure modes."""
-        point = []
-        for k, name in enumerate(self.table.names):
-            occurs = any(exps[k] for exps in self.terms)
-            if not occurs:
-                point.append(None)
-                continue
-            if name not in values:
+        """Exact evaluation; distinct errors for the distinct failure modes.
+        UnboundVariable, for the first variable in table order that occurs
+        and has no value, is raised before any other error."""
+        names = self.table.names
+        for k, name in enumerate(names):
+            if name not in values and any(exps[k] for exps in self.terms):
                 raise UnboundVariable(f"no value for variable {name!r}")
-            point.append(GaussianRational.of(values[name]))
         total = GaussianRational.of(0)
         for exps, c in self.terms.items():
             term = c
-            for k, e in enumerate(exps):
-                if not e:
-                    continue
-                base = point[k]
-                if not base and e < 0:
-                    raise NegativePowerOfZero(
-                        f"{self.table.names[k]} = 0 raised to power {e}")
-                term = term * base ** e
+            for name, e in zip(names, exps):
+                if e:
+                    base = GaussianRational.of(values[name])
+                    if not base and e < 0:
+                        raise NegativePowerOfZero(f"{name} = 0 raised to power {e}")
+                    term = term * base ** e
             total = total + term
         return total
 

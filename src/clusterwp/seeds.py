@@ -486,7 +486,6 @@ class Exploration:
                 given.add(name)
             for k in range(1, s.matrix.m + 1):
                 earlier.setdefault((k, s.gvectors[:k - 1] + s.gvectors[k:]), s)
-        self._relations = None
 
     @cached_property
     def variables(self):
@@ -508,19 +507,21 @@ class Exploration:
     def relations(self):
         """Every (seed, direction) exchange relation, seeds in discovery
         order and directions ascending."""
-        if self._relations is None:
-            rels = []
-            binomials = {}  # unordered pair of factor sets -> its number
-            for idx, s in enumerate(self.seeds):
-                for k in range(1, s.matrix.m + 1):
-                    pos, neg = _exchange_monomials(s.matrix.rows[k - 1], s.names)
-                    key = frozenset((frozenset(pos), frozenset(neg)))
-                    rels.append(ExchangeRelation(
-                        idx, k, s.names[k - 1],
-                        self._names.get(s._partner_gvector(k)), pos, neg,
-                        binomials.setdefault(key, len(binomials))))
-            self._relations = rels
         return self._relations
+
+    @cached_property
+    def _relations(self):
+        rels = []
+        binomials = {}  # unordered pair of factor sets -> its number
+        for idx, s in enumerate(self.seeds):
+            for k in range(1, s.matrix.m + 1):
+                pos, neg = _exchange_monomials(s.matrix.rows[k - 1], s.names)
+                key = frozenset((frozenset(pos), frozenset(neg)))
+                rels.append(ExchangeRelation(
+                    idx, k, s.names[k - 1],
+                    self._names.get(s._partner_gvector(k)), pos, neg,
+                    binomials.setdefault(key, len(binomials))))
+        return rels
 
 
 def explore(seed, max_seeds=1000, max_depth=16, namer=prime_namer):

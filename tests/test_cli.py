@@ -635,6 +635,14 @@ def test_tangent_needs_full_assignment(capsys, tmp_path):
     assert "unassigned generator" in err
 
 
+def test_tangent_rejects_a_point_off_the_variety(capsys, tmp_path):
+    path = tmp_path / "f.point"
+    path.write_text("x = 1\nx' = 1\nc1 = 1\nc2 = 1\n")
+    rc, out, err = run(capsys, "tangent", "sl2", "--point", str(path))
+    assert (rc, out, err) == (
+        2, "", "error: not a point of the algebra: x*x' - c1*c2 - 1 = -1\n")
+
+
 def test_tangent_rejects_an_unknown_name(capsys, tmp_path):
     # the catalog point names all nine diagonals, six of them generators;
     # a name no variable of the entry carries is a usage error

@@ -4,7 +4,8 @@ Expected values below were derived by hand (conjugate products, small
 inverses) or cross-checked against sympy, which serves as the independent
 oracle for rank computations.  ``FractionPair``, the two-``Fraction``
 scalar that the integer-triple ``GaussianRational`` replaced, is kept as
-the oracle for every scalar operation.
+the oracle for every scalar operation, and ``reference_rank``, the
+Gauss-Jordan loop that forward elimination replaced, that of ``rank``.
 """
 
 import runpy
@@ -359,6 +360,48 @@ def test_rank_matches_sympy(m):
     assert rank(m) == sm.rank()
 
 
+def reference_rank(rows):
+    """The Gauss-Jordan elimination that ``rank`` replaced: it scales each
+    pivot row to 1 and clears the pivot column above and below."""
+    rows = [[G.of(x) for x in row] for row in rows]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """An n x c product of an n x r and an r x c factor, up to 8 x 16 (the
+    shape of the A_8 Jacobian), half of the entries zero: empty pivot
+    columns, row swaps and rows that run out before the columns all occur."""
+    n, c = draw(st.integers(1, 8)), draw(st.integers(1, 16))
+    r = draw(st.integers(0, min(n, c)))
+    entries = st.one_of(st.just(G(0)), small_entries)
+    left = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=n, max_size=n))
+    right = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+    return [[sum((row[k] * right[k][j] for k in range(r)), G(0)) for j in range(c)]
+            for row in left]
+
+
+@given(st.one_of(small_matrices(), low_rank_matrices()))
+@settings(max_examples=150, deadline=None)
+def test_rank_matches_gauss_jordan(m):
+    assert rank(m) == reference_rank(m)
+
+
 @given(small_matrices(), st.randoms(use_true_random=False))
 def test_rank_invariant_under_row_ops(m, rng):
     rows = [list(row) for row in m]
@@ -378,11 +421,12 @@ def test_microbench_smoke(capsys):
     script = Path(__file__).parent.parent / "scripts" / "microbench.py"
     runpy.run_path(str(script))["main"](repeat=1)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 20 and all(line.endswith(" us/call") for line in lines)
+    assert len(lines) == 21 and all(line.endswith(" us/call") for line in lines)
     for label in ("gaussian ** integral", "gaussian ** non-integral",
                   "laurent square markov-60", "laurent cube markov-60",
                   "laurent divide_exact markov-60",
-                  "laurent divide_exact non-monic", "regularity propagate_point a5",
+                  "laurent divide_exact non-monic", "exact rank a8",
+                  "regularity propagate_point a5",
                   "regularity verify_point a5", "regularity tangent_dimension a5",
                   "rational substitute a3/markov", "pullback a3/markov",
                   "wp_form a3/markov", "regularize_at a3"):

@@ -8,6 +8,8 @@ its quotients and verdicts.  ``RationalFn``'s own constructor, which
 normalizes any denominator, is the oracle of the operations that skip it,
 and ``reference_substitute``, which always divides by the substituted
 denominator, that of ``substitute``, which skips a denominator of 1.
+``reference_evaluate``, the two-pass evaluation that coerced one value per
+variable before reading a term, is the oracle of ``evaluate``.
 """
 
 from fractions import Fraction
@@ -431,15 +433,68 @@ def test_evaluate_frozen():
     assert f.evaluate({"x0": Fraction(1, 2), "x1": 3}) == G(5)
     g = RationalFn(ONE2, X0 + X1)
     assert g.evaluate({"x0": 1, "x1": 1}) == G(Fraction(1, 2))
+    # a variable that does not occur may be missing
+    assert (X0 + 1).evaluate({"x0": 2}) == G(3)
+    assert LaurentPoly.zero(T2).evaluate({}) == G(0)
 
 
 def test_evaluate_errors_are_distinct():
-    with pytest.raises(NegativePowerOfZero):
-        (X0 ** -1).evaluate({"x0": 0, "x1": 1})
     with pytest.raises(DenominatorZero):
         RationalFn(ONE2, X0 + X1).evaluate({"x0": 1, "x1": -1})
-    with pytest.raises(UnboundVariable):
-        (X0 + X1).evaluate({"x0": 1})
+    for poly, values, error, message in [
+        (X0 + X1, {"x0": 1}, UnboundVariable, "no value for variable 'x1'"),
+        # the first variable in table order is named
+        (X0 * X1, {}, UnboundVariable, "no value for variable 'x0'"),
+        # an unassigned variable wins over a zero base
+        (X0 ** -1 + X1, {"x0": 0}, UnboundVariable, "no value for variable 'x1'"),
+        (X0 ** -1, {"x0": 0, "x1": 1}, NegativePowerOfZero, "x0 = 0 raised to power -1"),
+    ]:
+        assert _evaluation(poly.evaluate, values) == (error, message)
+
+
+def reference_evaluate(poly, values):
+    """The two-pass evaluation that ``LaurentPoly.evaluate`` replaced: one
+    coerced value per variable that occurs, then one pass over the terms."""
+    point = []
+    for k, name in enumerate(poly.table.names):
+        if not any(exps[k] for exps in poly.terms):
+            point.append(None)
+            continue
+        if name not in values:
+            raise UnboundVariable(f"no value for variable {name!r}")
+        point.append(G.of(values[name]))
+    total = G(0)
+    for exps, c in poly.terms.items():
+        term = c
+        for k, e in enumerate(exps):
+            if not e:
+                continue
+            if not point[k] and e < 0:
+                raise NegativePowerOfZero(
+                    f"{poly.table.names[k]} = 0 raised to power {e}")
+            term = term * point[k] ** e
+        total = total + term
+    return total
+
+
+def _evaluation(evaluate, *args):
+    """The value, or the exception's type and message."""
+    try:
+        return evaluate(*args)
+    except (UnboundVariable, NegativePowerOfZero) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_evaluate_matches_the_reference(data):
+    # a Q(i) point that may leave out or zero some variables
+    f = data.draw(random_polys(T3))
+    value = st.one_of(st.just(0), st.integers(-3, 3), _COEFFS)
+    values = data.draw(st.fixed_dictionaries({nm: value for nm in T3.names}))
+    for nm in data.draw(st.lists(st.sampled_from(T3.names), max_size=1)):
+        del values[nm]
+    assert _evaluation(f.evaluate, values) == _evaluation(reference_evaluate, f, values)
 
 
 def test_evaluate_gaussian_point():

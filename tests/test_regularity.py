@@ -639,8 +639,9 @@ def test_tangent_rejects_partial_point():
 def test_tangent_rejects_invalid_point():
     pres = acyclic_presentation(SL2)
     p = AlgebraPoint({"x": 1, "x'": 1, "c1": 1, "c2": 1}, pres)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         tangent_dimension(pres, p)
+    assert str(exc.value) == "not a point of the algebra: x*x' - c1*c2 - 1 = -1"
 
 
 def test_tangent_at_least_rank_bound():
