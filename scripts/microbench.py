@@ -3,23 +3,25 @@
 
 Prints microseconds per call, the least over ``repeat`` timings, for
 ``GaussianRational`` ``*``, ``+``, ``inverse`` and ``**`` (exponents 0 to 7)
-on integral and non-integral values, and for ``LaurentPoly`` ``*``, ``**``
-and ``divide_exact`` on the Laurent expansions of a Markov exploration of
-60 seeds (those of ``clusterwp explore markov --max-seeds 60``): each
-product multiplies two expansions met one after the other, each square
-squares one expansion, each cube takes one square and one product, and
-each division undoes one product.  The non-monic divisions divide by the
-second factor times 1+i, a leading coefficient that is no unit of the
-Gaussian integers, so the remainder is rescaled.  ``propagate_point`` runs
-on the full A_5 exploration (132 clusters, 660 exchange relations) from one
-fixed Q(i) point of its first chart, ``verify_point`` on the point it
-propagates to, and ``tangent_dimension`` on the acyclic presentation of that
-first chart at the same point.  ``exact rank a8`` is the rank of the
-Jacobian of the A_8 acyclic presentation at one fixed Q(i) point of the
-variety.  ``rational substitute`` substitutes
-x_k' = P_k/x_k into every coefficient of the chart form of mu_k(seed), and
-``pullback`` pulls that form back to the seed, for every direction k of
-the a3 and markov catalog seeds.  ``wp_form`` builds the chart forms of
+on integral and non-integral values, and for ``LaurentPoly`` ``*``, ``**``,
+``divide_exact`` and ``to_expr`` on the Laurent expansions of a Markov
+exploration of 60 seeds (those of ``clusterwp explore markov --max-seeds
+60``): each product multiplies two expansions met one after the other, each
+square squares one expansion, each cube takes one square and one product,
+each division undoes one product and each rendering prints one expansion.
+The non-monic divisions divide by the second factor times 1+i, a leading
+coefficient that is no unit of the Gaussian integers, so the remainder is
+rescaled.  ``propagate_point`` runs on the full A_5 exploration (132
+clusters, 660 exchange relations) from one fixed Q(i) point of its first
+chart, ``verify_point`` on the point it propagates to, and
+``tangent_dimension`` on the acyclic presentation of that first chart at
+the same point.  ``seeds explore a6`` walks the whole exchange graph of the
+A_6 path seed (429 clusters) and reads no expansion.  ``exact rank a8`` is
+the rank of the Jacobian of the A_8 acyclic presentation at one fixed Q(i)
+point of the variety.  ``rational substitute`` substitutes x_k' = P_k/x_k
+into every coefficient of the chart form of mu_k(seed), and ``pullback``
+pulls that form back to the seed, for every direction k of the a3 and
+markov catalog seeds.  ``wp_form`` builds the chart forms of
 those two seeds, and ``regularize_at`` rewrites the a3 seed's form at each
 of the four nonempty vanishing patterns it accepts.
 
@@ -89,6 +91,7 @@ def laurent_cases():
                                              for p, q in pairs]
     yield "laurent divide_exact non-monic", [partial((p * q).divide_exact, q * G(1, 1))
                                              for p, q in pairs]
+    yield "laurent to_expr markov-60", [p.to_expr for p in expansions]
 
 
 def linear_seed(n):
@@ -114,6 +117,7 @@ def point_cases():
     yield "regularity propagate_point a5", [partial(propagate_point, start, a5)] * 20
     yield "regularity verify_point a5", [partial(verify_point, full)] * 20
     yield "regularity tangent_dimension a5", [partial(tangent_dimension, pres, at)] * 20
+    yield "seeds explore a6", [partial(explore, linear_seed(6))] * 4
 
 
 def form_cases():

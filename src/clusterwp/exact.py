@@ -253,17 +253,25 @@ def parse_gaussian(text: str) -> GaussianRational:
     raise GaussianParseError(f"not a Gaussian-rational literal: {text!r}")
 
 
+def _part_strs(z: GaussianRational) -> tuple:
+    """``(str(z.re), str(z.im))`` from the triple: one gcd per part, none
+    when d = 1."""
+    a, b, d = z._a, z._b, z._d
+    if d == 1:
+        return str(a), str(b)
+    g, h = gcd(a, d), gcd(b, d)
+    return (str(a // g) if g == d else f"{a // g}/{d // g}",
+            str(b // h) if h == d else f"{b // h}/{d // h}")
+
+
 def format_gaussian(value: GaussianRational) -> str:
     """Canonical literal for a Gaussian rational (inverse of parse_gaussian)."""
-    re_, im = value.re, value.im
-    if not im:
-        return str(re_)
-    if not re_ and im == 1:
-        return "i"
-    if not re_ and im == -1:
-        return "-i"
-    sign = "+" if im > 0 else "-"
-    return f"{re_}{sign}{abs(im)}i"
+    re_, im = _part_strs(value)
+    if im == "0":
+        return re_
+    if re_ == "0" and im in ("1", "-1"):
+        return "i" if im == "1" else "-i"
+    return f"{re_}{'' if im[0] == '-' else '+'}{im}i"
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +280,8 @@ def format_gaussian(value: GaussianRational) -> str:
 
 def rank(rows) -> int:
     """Rank over Q(i) of a sequence of rows of scalars: forward elimination
-    to an echelon form, counting the pivots; exact, no pivot thresholds."""
+    to an echelon form, updating only the columns right of each pivot, and
+    counting the pivots; exact, no pivot thresholds."""
     rows = [[GaussianRational.of(x) for x in row] for row in rows]
     ncols = len(rows[0]) if rows else 0
     if any(len(row) != ncols for row in rows):
@@ -283,11 +292,12 @@ def rank(rows) -> int:
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
+        rest = rows[r][col + 1:]
         inv = rows[r][col].inverse()
-        for i in range(r + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        for row in rows[r + 1:]:
+            if row[col]:
+                f = row[col] * inv
+                row[col + 1:] = [a - f * b for a, b in zip(row[col + 1:], rest)]
         r += 1
         if r == len(rows):
             break

@@ -25,7 +25,8 @@ Representation choices that the rest of the package leans on:
   denominator each, the remainder is rescaled when a leading coefficient
   does not divide exactly, and its grlex-leading term comes from a heap
   with lazy deletion (after Monagan-Pearce, *Sparse polynomial division
-  using a heap*, J. Symb. Comp. 2011).
+  using a heap*, J. Symb. Comp. 2011).  Squares, which serve ``**``, run
+  on the same representation; other products stay on Q(i) objects.
 * The monomial order is graded lexicographic in table order; it makes
   single-divisor exact division deterministic and terminating once the
   monomial content has been stripped.
@@ -40,7 +41,7 @@ from operator import add, sub
 from typing import Iterator, Mapping
 
 from clusterwp.exact import (
-    _ONE, GaussianRational, _coerce, _gaussian_integers, _power, _reduced)
+    _ONE, GaussianRational, _coerce, _gaussian_integers, _part_strs, _power, _reduced)
 
 __all__ = [
     "DenominatorZero",
@@ -290,26 +291,35 @@ class LaurentPoly:
             return self
         if _is_one(self):
             return other
+        if other is self and len(self.terms) > 1:
+            return self._square()
         out = {}
-        if other is self:
-            # a square forms each cross term once, in the order (and so
-            # with the term order) of the general product below
-            items = list(self.terms.items())
-            for i, (e1, c1) in enumerate(items):
-                for e2, c2 in items[i:]:
-                    key = tuple(map(add, e1, e2))
-                    c = c1 * c2
-                    if e2 is not e1:
-                        c = c + c
-                    s = out.get(key)
-                    out[key] = c if s is None else s + c
-        else:
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(map(add, e1, e2))
-                    s = out.get(key)
-                    out[key] = c1 * c2 if s is None else s + c1 * c2
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(map(add, e1, e2))
+                s = out.get(key)
+                out[key] = c1 * c2 if s is None else s + c1 * c2
         return _trusted(self.table, {e: c for e, c in out.items() if c})
+
+    def _square(self):
+        """``self * self`` on ``divide_exact``'s Gaussian integers, each cross
+        term formed once, in the order (so the term order) of ``*``'s loop."""
+        (content,), (keys,), unpack = _grlex_packed([self], 2)
+        pairs, d = _gaussian_integers(self.terms.values())
+        items = list(zip(keys, pairs))
+        out = {}
+        for i, (t1, (a1, b1)) in enumerate(items):
+            for t2, (a2, b2) in items[i:]:
+                pa, pb = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                if t2 != t1:
+                    pa, pb = pa + pa, pb + pb
+                key = t1 + t2
+                old = out.get(key)
+                out[key] = (pa, pb) if old is None else (old[0] + pa, old[1] + pb)
+        shift = tuple(e + e for e in content)
+        return _trusted(self.table, {
+            tuple(map(add, shift, unpack(key))): _reduced(a, b, d * d)
+            for key, (a, b) in out.items() if a or b})
 
     __rmul__ = __mul__
 
@@ -398,7 +408,7 @@ class LaurentPoly:
         Laurent ring is equivalent to divisibility of the content-free
         parts, because a content-free polynomial has no variable factors.
         Both parts become Gaussian integers over a common denominator each,
-        and their exponent vectors become ``_grlex_packing`` integers.  The
+        and their exponent vectors become ``_grlex_packed`` integers.  The
         remainder r is ``scale * (num - quotient * den)``, where ``scale``
         grows when a leading coefficient does not divide exactly, and its
         leading term comes from a heap with lazy deletion: a cancelled
@@ -413,15 +423,11 @@ class LaurentPoly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return self
-        cn = self.monomial_content()
-        cd = den.monomial_content()
-        n_exps = [tuple(map(sub, e, cn)) for e in self.terms]
-        d_exps = [tuple(map(sub, e, cd)) for e in den.terms]
-        pack, unpack = _grlex_packing(n_exps + d_exps)
+        (cn, cd), (n_keys, d_keys), unpack = _grlex_packed([self, den])
         n_pairs, num_scale = _gaussian_integers(self.terms.values())
         d_pairs, den_scale = _gaussian_integers(den.terms.values())
-        r = dict(zip(map(pack, n_exps), n_pairs))
-        d = dict(zip(map(pack, d_exps), d_pairs))
+        r = dict(zip(n_keys, n_pairs))
+        d = dict(zip(d_keys, d_pairs))
         ld = max(d)
         ld_exps = unpack(ld)
         la, lb = d.pop(ld)
@@ -486,7 +492,6 @@ class LaurentPoly:
             return "0"
         parts = []
         for exps in sorted(self.terms, key=_grlex, reverse=True):
-            c = self.terms[exps]
             factors = []
             for name, e in zip(self.table.names, exps):
                 if e == 1:
@@ -494,16 +499,17 @@ class LaurentPoly:
                 elif e:
                     factors.append(f"{name}^{e}")
             mono = "*".join(factors)
+            re_, im = _part_strs(self.terms[exps])
             if not mono:
-                parts.append(_gaussian_expr(c))
-            elif c == 1:
+                parts.append(_gaussian_expr(re_, im))
+            elif im != "0":
+                parts.append(f"({_gaussian_expr(re_, im)})*{mono}")
+            elif re_ == "1":
                 parts.append(mono)
-            elif c == -1:
+            elif re_ == "-1":
                 parts.append(f"-{mono}")
-            elif not c.im:
-                parts.append(f"{c.re}*{mono}")
             else:
-                parts.append(f"({_gaussian_expr(c)})*{mono}")
+                parts.append(f"{re_}*{mono}")
         text = parts[0]
         for p in parts[1:]:
             if p.startswith("-"):
@@ -538,14 +544,17 @@ def _is_one(poly: LaurentPoly) -> bool:
     return c is not None and c == _ONE
 
 
-def _grlex_packing(vectors: list) -> tuple:
-    """``(pack, unpack)`` between exponent vectors of nonnegative entries and
-    integers: ``e`` packs to the integer with the digits ``sum(e), e_1, ...,
-    e_n`` in a base above the largest entry sum among ``vectors``.  For
-    vectors with entry sums up to that one, packed keys add as the vectors
-    do and compare as grlex does."""
-    base = 1 + max(map(sum, vectors))
-    width = len(vectors[0])
+def _grlex_packed(polys: list, scale: int = 1) -> tuple:
+    """``(contents, keys, unpack)`` for nonzero ``polys`` on one table: the
+    monomial content of each, the integer keys of its exponent vectors less
+    that content, in term order, and the way back.  A vector ``e`` packs to
+    the digits ``sum(e), e_1, ..., e_n`` in a base above ``scale`` times the
+    largest entry sum, so keys compare as grlex does and add as the vectors
+    do while entry sums stay below the base."""
+    contents = [p.monomial_content() for p in polys]
+    vectors = [[tuple(map(sub, e, c)) for e in p.terms] for p, c in zip(polys, contents)]
+    base = 1 + scale * max(sum(e) for vs in vectors for e in vs)
+    width = len(contents[0])
 
     def pack(e):
         key = sum(e)
@@ -558,23 +567,17 @@ def _grlex_packing(vectors: list) -> tuple:
         for i in range(width - 1, -1, -1):
             key, e[i] = divmod(key, base)
         return tuple(e)
-    return pack, unpack
+    return contents, [list(map(pack, vs)) for vs in vectors], unpack
 
 
-def _gaussian_expr(c: GaussianRational) -> str:
-    """Render a coefficient so the expression grammar parses it back."""
-    if not c.im:
-        return str(c.re)
-    if c.im == 1:
-        imag = "i"
-    elif c.im == -1:
-        imag = "-i"
-    else:
-        imag = f"{c.im}*i"
-    if not c.re:
+def _gaussian_expr(re_: str, im: str) -> str:
+    """Render a coefficient's ``_part_strs`` so the grammar parses it back."""
+    if im == "0":
+        return re_
+    imag = "i" if im == "1" else "-i" if im == "-1" else f"{im}*i"
+    if re_ == "0":
         return imag
-    joiner = "+" if not imag.startswith("-") else ""
-    return f"{c.re}{joiner}{imag}"
+    return f"{re_}{'' if im[0] == '-' else '+'}{imag}"
 
 
 class RationalFn:

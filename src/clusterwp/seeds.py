@@ -349,16 +349,20 @@ def _walk(seed, max_depth, name=None):
     ``(seed, depth)`` for each distinct cluster (by ``cluster_key``) the
     moment it is discovered, the start first; discovery order is also
     expansion order.  Seeds at ``max_depth`` are not expanded.  New
-    variables are named by ``name``, a ``_walk_namer`` from ``seed``."""
+    variables are named by ``name``, a ``_walk_namer`` from ``seed``.
+    A seed is not mutated back along the direction it was reached by:
+    mutation is an involution, so that neighbour is its parent, seen."""
     name = name or _walk_namer(seed)
     seen = {seed.cluster_key()}
-    queue = deque([(seed, 0)])
+    queue = deque([(seed, 0, None)])
     yield seed, 0
     while queue:
-        s, depth = queue.popleft()
+        s, depth, back = queue.popleft()
         if depth == max_depth:
             continue
         for k in range(1, s.matrix.m + 1):
+            if k == back:
+                continue
             # mutate under the old name and name the variable once the
             # cluster proves new: a new g-vector always makes a new cluster
             t = s.mutated(k, s.names[k - 1])
@@ -369,7 +373,7 @@ def _walk(seed, max_depth, name=None):
             new_name = name(s, k, t.gvectors[k - 1])
             t = _unchecked(Seed, t.matrix, t.names[:k - 1] + (new_name,) + t.names[k:],
                            t.gvectors, t.cvectors)
-            queue.append((t, depth + 1))
+            queue.append((t, depth + 1, k))
             yield t, depth + 1
 
 

@@ -4,8 +4,11 @@ Expected values below were derived by hand (conjugate products, small
 inverses) or cross-checked against sympy, which serves as the independent
 oracle for rank computations.  ``FractionPair``, the two-``Fraction``
 scalar that the integer-triple ``GaussianRational`` replaced, is kept as
-the oracle for every scalar operation, and ``reference_rank``, the
-Gauss-Jordan loop that forward elimination replaced, that of ``rank``.
+the oracle for every scalar operation, ``reference_format_gaussian``,
+the literal built from the two ``Fraction`` parts, that of
+``format_gaussian``, which builds it from the integer triple, and
+``reference_rank``, the Gauss-Jordan loop that forward elimination
+replaced, that of ``rank``.
 """
 
 import runpy
@@ -152,12 +155,26 @@ class FractionPair:
         return result
 
 
+def reference_format_gaussian(value):
+    """The literal built from the ``Fraction`` parts ``re`` and ``im``, as
+    ``format_gaussian`` was before it read the integer triple."""
+    re_, im = value.re, value.im
+    if not im:
+        return str(re_)
+    if not re_ and im == 1:
+        return "i"
+    if not re_ and im == -1:
+        return "-i"
+    sign = "+" if im > 0 else "-"
+    return f"{re_}{sign}{abs(im)}i"
+
+
 def assert_agrees(z, oracle):
     assert isinstance(z, G)
     assert type(z.re) is Fraction and type(z.im) is Fraction
     assert (z.re, z.im) == (oracle.re, oracle.im)
     assert hash(z) == hash(oracle)
-    assert str(z) == format_gaussian(z) == format_gaussian(oracle)
+    assert str(z) == format_gaussian(z) == reference_format_gaussian(oracle)
 
 
 # scalars with small parts, so that both integral and non-integral values
@@ -284,6 +301,17 @@ FORMAT_CASES = [
 def test_format_gaussian(value, text):
     assert format_gaussian(value) == text
     assert str(value) == text
+
+
+# parts that are zero, +-1, negative or non-integral, so 0, +-1, +-i and
+# d > 1 all turn up often
+literal_parts = st.one_of(st.sampled_from([0, 1, -1]), small_fractions)
+
+
+@given(st.builds(G, literal_parts, literal_parts))
+@settings(max_examples=300)
+def test_format_gaussian_matches_the_fraction_rendering(z):
+    assert format_gaussian(z) == reference_format_gaussian(z)
 
 
 @given(gaussians)
@@ -421,11 +449,12 @@ def test_microbench_smoke(capsys):
     script = Path(__file__).parent.parent / "scripts" / "microbench.py"
     runpy.run_path(str(script))["main"](repeat=1)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 21 and all(line.endswith(" us/call") for line in lines)
+    assert len(lines) == 23 and all(line.endswith(" us/call") for line in lines)
     for label in ("gaussian ** integral", "gaussian ** non-integral",
                   "laurent square markov-60", "laurent cube markov-60",
                   "laurent divide_exact markov-60",
-                  "laurent divide_exact non-monic", "exact rank a8",
+                  "laurent divide_exact non-monic", "laurent to_expr markov-60",
+                  "seeds explore a6", "exact rank a8",
                   "regularity propagate_point a5",
                   "regularity verify_point a5", "regularity tangent_dimension a5",
                   "rational substitute a3/markov", "pullback a3/markov",

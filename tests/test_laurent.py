@@ -10,6 +10,10 @@ and ``reference_substitute``, which always divides by the substituted
 denominator, that of ``substitute``, which skips a denominator of 1.
 ``reference_evaluate``, the two-pass evaluation that coerced one value per
 variable before reading a term, is the oracle of ``evaluate``.
+``reference_square``, the square over Q(i) objects, is the oracle of the
+square over Gaussian integers, term order included, and
+``reference_to_expr``, which rendered each coefficient from its
+``Fraction`` parts, that of ``to_expr``, which reads the integer triple.
 """
 
 from fractions import Fraction
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 from clusterwp.catalog import CATALOG_KEYS, catalog
 from clusterwp.exact import GaussianRational
 from clusterwp.forms import check_invariance
+from clusterwp.seeds import explore
 from clusterwp.laurent import (
     _grlex,
     _substitute_poly,
@@ -601,6 +606,51 @@ def test_fast_paths_keep_the_normal_form(data):
             assert _items(g * f) == reference_product(g, f)
 
 
+def reference_square(p):
+    """The term list of p * p by the Q(i) loop the Gaussian-integer square
+    replaced: each cross term once, in the order of the general product."""
+    out = {}
+    items = list(p.terms.items())
+    for i, (e1, c1) in enumerate(items):
+        for e2, c2 in items[i:]:
+            key = tuple(map(add, e1, e2))
+            c = c1 * c2
+            if e2 is not e1:
+                c = c + c
+            out[key] = out[key] + c if key in out else c
+    return [(e, c) for e, c in out.items() if c]
+
+
+# the zero polynomial, one term, and cross terms that cancel:
+# (1 + x0 + x1 - x0*x1)^2 has no x0*x1 term
+SQUARE_CASES = [
+    LaurentPoly.zero(T2),
+    LaurentPoly.monomial(T2, (-2, 3), G(Fraction(1, 3), -2)),
+    1 + X0 + X1 - X0 * X1,
+    (X0 - G(0, 1) * X1 ** -1) * Fraction(1, 2),
+]
+
+
+@pytest.mark.parametrize("p", SQUARE_CASES, ids=["zero", "one-term", "cancel", "gaussian"])
+def test_square_cases_match_the_q_i_loop(p):
+    assert _items(p * p) == reference_square(p)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_square_matches_the_q_i_loop(data):
+    table = data.draw(st.sampled_from([T2, T3]))
+    p = data.draw(st.one_of(random_polys(table), wide_polys(table)))
+    assert _items(p * p) == reference_square(p)
+
+
+def test_catalog_squares_match_the_q_i_loop():
+    for key in ("markov", "affine-a11"):
+        for p in explore(catalog(key).seed, max_seeds=30).variables.values():
+            assert _items(p * p) == reference_square(p)
+            assert _items(p ** 3) == _items(p * p * p)
+
+
 # ---------------------------------------------------------------------------
 # deterministic rendering
 # ---------------------------------------------------------------------------
@@ -615,6 +665,56 @@ def test_to_expr_deterministic():
     assert h.to_expr() == "(1/2-1/2*i)*x0"
     r = RationalFn(X1 ** 2 + 1, X0 + X1)
     assert r.to_expr() == "(x1^2 + 1)/(x0 + x1)"
+
+
+def _reference_gaussian_expr(c):
+    if not c.im:
+        return str(c.re)
+    if c.im == 1:
+        imag = "i"
+    elif c.im == -1:
+        imag = "-i"
+    else:
+        imag = f"{c.im}*i"
+    if not c.re:
+        return imag
+    joiner = "+" if not imag.startswith("-") else ""
+    return f"{c.re}{joiner}{imag}"
+
+
+def reference_to_expr(poly):
+    """``to_expr`` as it was when it rendered each coefficient from its
+    ``Fraction`` parts ``re`` and ``im``, comparing it with 1 and -1."""
+    if not poly.terms:
+        return "0"
+    parts = []
+    for exps in sorted(poly.terms, key=_grlex, reverse=True):
+        c = poly.terms[exps]
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(poly.table.names, exps) if e)
+        if not mono:
+            parts.append(_reference_gaussian_expr(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        elif not c.im:
+            parts.append(f"{c.re}*{mono}")
+        else:
+            parts.append(f"({_reference_gaussian_expr(c)})*{mono}")
+    text = parts[0]
+    for p in parts[1:]:
+        text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return text
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_to_expr_matches_the_fraction_rendering(data):
+    exps = st.one_of(st.just((0, 0, 0)), st.tuples(*[st.integers(-1, 2)] * 3))
+    coeffs = st.builds(G, _LITERAL_PARTS, _LITERAL_PARTS)
+    poly = LaurentPoly(T3, dict(data.draw(st.lists(st.tuples(exps, coeffs), max_size=5))))
+    assert poly.to_expr() == reference_to_expr(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +762,9 @@ T3 = VarTable(("x0", "x1", "x2"))
 
 _PARTS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 _COEFFS = st.one_of(_PARTS.map(G), st.builds(G, _PARTS, _PARTS))
+# parts that are zero, +-1, negative or non-integral, so 0, +-1, +-i and
+# d > 1 all turn up often
+_LITERAL_PARTS = st.one_of(st.sampled_from([0, 1, -1]), _PARTS)
 
 
 def random_polys(table):
@@ -672,6 +775,16 @@ def random_polys(table):
     return st.lists(term, min_size=0, max_size=4).map(
         lambda items: LaurentPoly(table, dict(items))
     )
+
+
+def wide_polys(table):
+    """Up to ten terms with exponents -2..2, Gaussian-integer coefficients
+    or ones over a common denominator, so cross terms often collide."""
+    exps = st.tuples(*[st.integers(min_value=-2, max_value=2)] * len(table))
+    parts = st.sampled_from([-2, -1, 0, 1, 2, 3, Fraction(1, 2), Fraction(-3, 4)])
+    coeffs = st.builds(G, parts, parts)
+    return st.lists(st.tuples(exps, coeffs), max_size=10).map(
+        lambda items: LaurentPoly(table, dict(items)))
 
 
 def rationals(table):
