@@ -22,8 +22,9 @@ point of the variety.  ``rational substitute`` substitutes x_k' = P_k/x_k
 into every coefficient of the chart form of mu_k(seed), and ``pullback``
 pulls that form back to the seed, for every direction k of the a3 and
 markov catalog seeds.  ``wp_form`` builds the chart forms of
-those two seeds, and ``regularize_at`` rewrites the a3 seed's form at each
-of the four nonempty vanishing patterns it accepts.
+those two seeds, ``check_invariance`` checks every mutation sequence of
+length 1 to 4 from each of them, and ``regularize_at`` rewrites the a3
+seed's form at each of the four nonempty vanishing patterns it accepts.
 
 Usage:  python3 scripts/microbench.py [--repeat N]
 """
@@ -43,6 +44,7 @@ from clusterwp import (
     VanishingPattern,
     acyclic_presentation,
     catalog,
+    check_invariance,
     explore,
     propagate_point,
     pullback,
@@ -141,6 +143,8 @@ def form_cases():
     yield "pullback a3/markov", pullbacks * 4
     yield "wp_form a3/markov", [partial(wp_form, catalog(key).seed)
                                 for key in ("a3", "markov")] * 64
+    yield "check_invariance a3/markov d4", [partial(check_invariance, catalog(key).seed, 4)
+                                            for key in ("a3", "markov")]
     a3 = catalog("a3").seed
     yield "regularize_at a3", [partial(regularize_at, a3, VanishingPattern(a3, frozenset(v)))
                                for v in ({1}, {2}, {3}, {1, 3})] * 4

@@ -17,8 +17,18 @@ The chart form of a seed is
     omega = sum_{i<j, i<=m} B_ij/(f_i f_j) df_i wedge df_j,
 
 the restricted-sum convention fixed by the printed rank-2 value 2/(x0 x1):
-summing over all ordered pairs would double it.  Its coefficients are the
-Laurent monomials B_ij f_i^-1 f_j^-1, written by ``_wp_coefficients`` alone.
+summing over all ordered pairs would double it.  In dlog coordinates it is
+sum_{i<j} W_ij dlog f_i wedge dlog f_j with the skew integer matrix W of
+``_log_matrix``, the one owner of that convention; its coefficients are the
+Laurent monomials W_ij f_i^-1 f_j^-1.
+
+``check_invariance`` carries a form with constant dlog coefficients as its
+matrix W.  Along mu_k such a form keeps constant coefficients exactly when
+row k of W is proportional to row k of B, the compatibility condition of
+Gekhtman-Shapiro-Vainshtein (*Cluster algebras and Poisson geometry*,
+arXiv math/0208033; *Cluster algebras and Weil-Petersson forms*, arXiv
+math/0309138), and ``_carry`` then mutates W in integers.  Only a form that
+loses constant coefficients is pulled back as Laurent coefficients.
 """
 
 from __future__ import annotations
@@ -103,19 +113,65 @@ class ChartForm:
         return f"<ChartForm {{{inner}}}>"
 
 
-def _wp_coefficients(seed, table):
-    """The chart form's terms ``((i, j), B_ij f_i^-1 f_j^-1)`` for B_ij != 0,
-    i < j and i mutable, in slot order, over a ``table`` holding the seed's names."""
-    matrix, names = _chart(seed)
-    for i, j in itertools.combinations(range(matrix.n), 2):
-        if i < matrix.m and matrix.rows[i][j]:
+def _log_matrix(seed):
+    """The chart form's skew integer matrix W in dlog coordinates, omega =
+    sum_{i<j} W_ij dlog f_i wedge dlog f_j: W_ij = B_ij for i < j and i
+    mutable, W_ji = -W_ij, every other entry 0."""
+    matrix = seed.matrix
+    w = [[0] * matrix.n for _ in range(matrix.n)]
+    for i, row in enumerate(matrix.rows):
+        for j in range(i + 1, matrix.n):
+            w[i][j], w[j][i] = row[j], -row[j]
+    return tuple(map(tuple, w))
+
+
+def _dlog_coefficients(w, names, table):
+    """The terms ``((i, j), W_ij f_i^-1 f_j^-1)`` of the form with dlog
+    matrix ``w`` for W_ij != 0, i < j, in slot order, over a ``table``
+    holding the ``names``."""
+    for i, j in itertools.combinations(range(len(names)), 2):
+        if w[i][j]:
             yield (i + 1, j + 1), LaurentPoly.monomial(
-                table, {names[i]: -1, names[j]: -1}, matrix.rows[i][j]).as_rational()
+                table, {names[i]: -1, names[j]: -1}, w[i][j]).as_rational()
+
+
+def _wp_coefficients(seed, table):
+    """The chart form's terms, over a ``table`` holding the seed's names."""
+    return _dlog_coefficients(_log_matrix(seed), seed.names, table)
+
+
+def _dlog_form(chart, w):
+    """The ChartForm on ``chart`` with dlog matrix ``w``."""
+    return ChartForm(chart, dict(_dlog_coefficients(w, chart.names, chart.chart())))
 
 
 def wp_form(seed):
     """The Weil-Petersson chart form of a seed."""
-    return ChartForm(seed, dict(_wp_coefficients(seed, seed.chart())))
+    return _dlog_form(seed, _log_matrix(seed))
+
+
+def _carry(w, row, k):
+    """The form with dlog matrix ``w`` pushed to mu_k of a chart whose
+    matrix row k is ``row``, as a dlog matrix; None where it stops having
+    constant coefficients.
+
+    With x_k = P/x_k', P = P+ + P-, dlog x_k = dlog P - dlog x_k' and dlog P
+    = sum_l [b_l]_+ dlog x_l - (P-/P) sum_l b_l dlog x_l, so the push has
+    constant coefficients exactly when row k of W is proportional to b
+    (Gekhtman-Shapiro-Vainshtein's compatibility), and then W'_kj = -W_kj
+    and W'_lj = W_lj + [b_l]_+ W_kj - [b_j]_+ W_kl for l, j != k."""
+    kk = k - 1
+    wk = w[kk]
+    if any(row[l] * wk[j] != row[j] * wk[l]
+           for l, j in itertools.combinations(range(len(row)), 2)):
+        return None
+    pos = [max(b, 0) for b in row]
+    out = [[w_lj + pos[l] * wk[j] - pos[j] * wk[l] for j, w_lj in enumerate(w_l)]
+           for l, w_l in enumerate(w)]
+    out[kk] = [-x for x in wk]
+    for l, x in enumerate(wk):
+        out[l][kk] = x
+    return tuple(map(tuple, out))
 
 
 class SymbolicForm:
@@ -230,10 +286,17 @@ def check_invariance(seed, depth):
     [(sequence, passed)] in lexicographic order by depth.  Each seed reached
     is checked once, by pushing its parent's form forward one edge and
     comparing with its own form; a seed's g-vectors fix its cluster
-    variables, so the push-forward depends on the seed and not on the path."""
+    variables, so the push-forward depends on the seed and not on the path.
+
+    A form with constant coefficients in dlog coordinates is carried as its
+    skew integer matrix (``_carry``), compared with the seed's own
+    ``_log_matrix``; a dlog basis is a basis over the function field, so
+    that comparison is exact.  Only a form that stops having constant
+    coefficients goes through ``pullback`` as a ChartForm, and one that
+    pulls back equal to the seed's own form is carried as its matrix again."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    pushed = {seed: (wp_form(seed), True)}
+    pushed = {seed: (_log_matrix(seed), True)}
     level = {(): seed}
     report = []
     for d in range(1, depth + 1):
@@ -242,10 +305,22 @@ def check_invariance(seed, depth):
             s, k = parents[ks[:-1]], ks[-1]
             t = level[ks] = s.mutated(k)
             if t not in pushed:
-                form, own = pullback(pushed[s][0], t, k), wp_form(t)
-                pushed[t] = (own, True) if forms_equal(form, own) else (form, False)
+                pushed[t] = _push(pushed[s][0], s, t, k)
             report.append((ks, pushed[t][1]))
     return report
+
+
+def _push(form, s, t, k):
+    """The pair (form pushed from s to t = mu_k(s), passed) of a form on s,
+    a dlog matrix or a ChartForm.  A passing form is t's own dlog matrix."""
+    own = _log_matrix(t)
+    if isinstance(form, tuple):
+        carried = _carry(form, s.matrix.rows[k - 1], k)
+        if carried is not None:
+            return carried, carried == own
+        form = _dlog_form(s, form)
+    form = pullback(form, t, k)
+    return (own, True) if forms_equal(form, wp_form(t)) else (form, False)
 
 
 def form_degree(form, weights):

@@ -36,7 +36,7 @@ from clusterwp.forms import (
     reduce_to_chart,
     wp_form,
 )
-from clusterwp.laurent import Inhomogeneous, LaurentPoly, RationalFn, VarTable
+from clusterwp.laurent import Inhomogeneous, LaurentPoly, NotLaurent, RationalFn, VarTable
 from clusterwp.regularity import HypothesisViolated, VanishingPattern, regularize_at
 from clusterwp.seeds import (
     ExchangeMatrix, Seed, _chart, _exchange_monomials, _exchange_partner, _partner_names,
@@ -426,6 +426,37 @@ def test_check_invariance_matches_chained_random(seed):
     assert check_invariance(seed, 2) == chained_invariance(seed, 2)
 
 
+def _is_monomial(c):
+    try:
+        return c.as_laurent().is_monomial()
+    except NotLaurent:
+        return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_carry_is_constant_exactly_where_the_pullback_is(data):
+    # the dlog carry of the seed's own form or of any skew integer matrix
+    # says "constant" exactly when every coefficient of the Laurent pullback
+    # is a monomial, and is then that pullback
+    seed = data.draw(small_seeds(max_frozen=2))
+    n = seed.matrix.n
+    k = data.draw(st.integers(1, seed.matrix.m))
+    w = forms_module._log_matrix(seed)
+    if data.draw(st.booleans()):
+        upper = {(i, j): data.draw(st.integers(-2, 2))
+                 for i, j in itertools.combinations(range(n), 2)}
+        w = tuple(tuple(upper.get((i, j), -upper.get((j, i), 0)) for j in range(n))
+                  for i in range(n))
+    t = seed.mutated(k)
+    pulled = pullback(forms_module._dlog_form(seed, w), t, k)
+    carried = forms_module._carry(w, seed.matrix.rows[k - 1], k)
+    assert (carried is not None) == all(_is_monomial(c) for c in pulled.coeffs.values())
+    if carried is not None:
+        assert all(carried[i][j] == -carried[j][i] for i in range(n) for j in range(n))
+        assert forms_equal(forms_module._dlog_form(t, carried), pulled)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_seeds(max_frozen=2))
 def test_exchange_monomials_are_read_off_the_matrix(seed):
@@ -618,7 +649,7 @@ def test_check_invariance_matches_chained_where_paths_merge(seed, depth):
 
 
 @pytest.mark.parametrize("seed,depth,pullbacks,failures", [
-    (A3, 3, 17, 0), (A3, 6, 77, 0), (MARKOV, 6, 189, 0), (C3, 4, 32, 69), (M2, 4, 8, 18)],
+    (A3, 3, 0, 0), (A3, 6, 0, 0), (MARKOV, 6, 0, 0), (C3, 4, 29, 69), (M2, 4, 7, 18)],
     ids=["a3-3", "a3-6", "markov-6", "c3-4", "m2-4"])
 def test_check_invariance_pulls_back_once_per_seed(monkeypatch, seed, depth,
                                                    pullbacks, failures):

@@ -4,8 +4,11 @@
 (``explore``, ``acyclic --search``, ``regularize --search``; ``explore`` on
 a G2 seed with two frozen columns pins the g-vector keys of a
 skew-symmetrizable seed with coefficients), of failing ``invariance``
-runs (``c3.seed`` at depths 3 and 4, ``m2.seed`` at depth 4; the depth-4
-transcripts were captured from the chained pullbacks), of the commands
+runs (``c3.seed`` at depths 3 and 4, ``m2.seed`` at depth 4, and
+``g2-frozen.seed`` at depth 4, a skew-symmetrizable seed with two frozen
+columns; the c3 and m2 depth-4 transcripts were captured from the chained
+pullbacks, the g2 one from the Laurent push-forward that preceded the
+integer dlog carry), of the commands
 that name new variables (``present``, ``mutate``, ``regularize`` without a
 search, ``tangent`` over a catalog presentation), of ``equal`` runs whose
 difference has a denominator of more than one term (the a3 and markov
@@ -52,6 +55,8 @@ CASES = [
     ("invariance-c3-depth3", 1, ["invariance", "@c3.seed", "--depth", "3"]),
     ("invariance-c3-depth4", 1, ["invariance", "@c3.seed", "--depth", "4"]),
     ("invariance-m2-depth4", 1, ["invariance", "@m2.seed", "--depth", "4"]),
+    ("invariance-g2-frozen-depth4", 1,
+     ["invariance", "@g2-frozen.seed", "--depth", "4"]),
     ("present-sl2", 0, ["present", "sl2"]),
     ("present-a3", 0, ["present", "a3"]),
     ("present-affine-a11", 0, ["present", "affine-a11"]),

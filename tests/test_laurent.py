@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from clusterwp.catalog import CATALOG_KEYS, catalog
 from clusterwp.exact import GaussianRational
-from clusterwp.forms import check_invariance
+from clusterwp.forms import pullback, wp_form
 from clusterwp.seeds import explore
 from clusterwp.laurent import (
     _grlex,
@@ -415,8 +415,10 @@ def test_substitution_in_catalog_pullbacks_matches_the_division(key):
         calls.append((f, bindings, into))
         return substitute(f, bindings, into)
 
+    seed = catalog(key).seed
     with mock.patch.object(RationalFn, "substitute", recorded):
-        check_invariance(catalog(key).seed, 2)
+        for k in range(1, seed.matrix.m + 1):
+            pullback(wp_form(seed.mutated(k)), seed, k)
     assert any(len(f.den.terms) == 1 and not any(f.den.leading_exponents())
                for f, _, _ in calls)
     for f, bindings, into in calls:
