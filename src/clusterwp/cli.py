@@ -31,7 +31,6 @@ from .forms import (
     reduce_to_chart,
     wp_form,
 )
-from .laurent import Inhomogeneous
 from .regularity import (
     AlgebraPoint,
     HypothesisViolated,
@@ -300,9 +299,6 @@ def _cmd_grade(args):
     form = wp_form(seed)
     try:
         degree = form_degree(form, weights)
-    except Inhomogeneous as exc:
-        print(f"inhomogeneous: {exc}")
-        return 1
     except ValueError as exc:
         print(str(exc))
         return 1

@@ -320,7 +320,7 @@ def _push(form, s, t, k):
             return carried, carried == own
         form = _dlog_form(s, form)
     form = pullback(form, t, k)
-    return (own, True) if forms_equal(form, wp_form(t)) else (form, False)
+    return (own, True) if forms_equal(form, _dlog_form(t, own)) else (form, False)
 
 
 def form_degree(form, weights):

@@ -8,11 +8,11 @@ Representation choices that the rest of the package leans on:
 * Terms map dense exponent vectors (tuples of ints, negative allowed) to
   nonzero Gaussian-rational coefficients, so emptiness <=> the zero
   polynomial.  ``LaurentPoly(table, terms)`` is the one gate for values
-  from outside: it coerces every coefficient, prunes zeros and checks every
-  exponent width.  The results of ring operations (``+``, ``-``, ``*``,
-  ``**``, ``shifted``, ``partial``, ``divide_exact``) are built by the
-  trusted ``_trusted`` instead, which takes their terms as they are; an
-  operation that can cancel terms drops the zeros itself.
+  from outside: it coerces every coefficient, prunes zeros and checks each
+  exponent vector's width and ``int`` entries.  Ring operations (``+``,
+  ``-``, ``*``, ``**``, ``shifted``, ``partial``, ``divide_exact``) build
+  their results with the trusted ``_trusted``, which takes their terms as
+  they are; an operation that can cancel terms drops the zeros itself.
 * ``RationalFn`` is an unreduced num/den pair.  There is deliberately *no*
   multivariate gcd: equality is decided by cross-multiplication, and the
   only simplification ever applied is moving the denominator's monomial
@@ -91,6 +91,7 @@ class UnboundVariable(EvaluationError):
 
 _IDENT_RE = _re.compile(r"[A-Za-z_][A-Za-z0-9_']*")   # applied with fullmatch
 _RESERVED = frozenset({"i"})    # the imaginary unit of the expression grammar
+_INT = frozenset({int})         # the one type of an exponent entry
 
 
 def _check_name(name, taken=()):
@@ -163,9 +164,9 @@ class LaurentPoly:
             if not c:
                 continue
             t = tuple(exps)
-            if len(t) != width:
+            if len(t) != width or not _INT.issuperset(map(type, t)):
                 raise ValueError(
-                    f"exponent vector {t} does not match table of width {width}")
+                    f"exponent vector {t} is not {width} ints, one per variable")
             clean[t] = c
         self.table = table
         self.terms = clean
@@ -192,7 +193,7 @@ class LaurentPoly:
         if isinstance(exps, Mapping):
             vec = [0] * len(table)
             for name, e in exps.items():
-                vec[table.index(name)] = int(e)
+                vec[table.index(name)] = e
             exps = tuple(vec)
         return cls(table, {tuple(exps): coeff})
 

@@ -149,18 +149,12 @@ def propagate_point(point, exploration):
     Each pass visits the relations in ``exploration.relations()`` order and
     passes repeat until one assigns nothing.  Each exchange binomial P is
     evaluated at most once per call and each P/f formed once, and a relation
-    leaves later passes once f and P are known: running it again could
-    assign nothing and report nothing new.  The assignment's order and the
-    issues are those of re-running every relation in every pass."""
+    leaves later passes once f and P are known.  The assignment's order and
+    the issues, a conflict reported once per partner, are those of
+    re-running every relation in every pass."""
     a = dict(point.assignment)
     issues = []
-    reported = set()
-
-    def report(key, text):
-        if key not in reported:
-            reported.add(key)
-            issues.append(text)
-
+    conflicted = set()  # partners whose conflict is already reported
     value = _binomial_values(a)
     quotients = {}  # (binomial, f) -> P/f
     live = exploration.relations()
@@ -176,9 +170,8 @@ def propagate_point(point, exploration):
                 continue
             if not fv:
                 if rhs:
-                    report(("zero", rel.seed_index, rel.direction),
-                           f"{rel.var} = 0 but {_relation_text(rel)} "
-                           f"gives product {rhs}")
+                    issues.append(f"{rel.var} = 0 but {_relation_text(rel)} "
+                                  f"gives product {rhs}")
                 continue
             if rel.partner is None:
                 continue
@@ -189,10 +182,10 @@ def propagate_point(point, exploration):
             if cur is None:
                 a[rel.partner] = val
                 changed = True
-            elif cur != val:
-                report(("conflict", rel.partner),
-                       f"{rel.partner} = {cur} conflicts with "
-                       f"{_relation_text(rel)} giving {val}")
+            elif cur != val and rel.partner not in conflicted:
+                conflicted.add(rel.partner)
+                issues.append(f"{rel.partner} = {cur} conflicts with "
+                              f"{_relation_text(rel)} giving {val}")
         live = waiting
     return AlgebraPoint(a, exploration), issues
 

@@ -22,6 +22,7 @@ read of it, is ``_chart(seed)``: its matrix and names.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -378,11 +379,12 @@ def _walk(seed, max_depth, name=None):
 
 
 def _seed_budget(max_seeds, max_depth):
-    """Clusters a walk keeps: ``max_seeds``, but always the start."""
+    """Clusters a walk keeps: ``max_seeds``, but always the start, and at
+    most ``sys.maxsize``, the most ``islice`` takes."""
     if min(max_seeds, max_depth) < 0:
         raise ValueError(
             f"negative budget: max_seeds={max_seeds}, max_depth={max_depth}")
-    return max(max_seeds, 1)
+    return min(max(max_seeds, 1), sys.maxsize)
 
 
 def find_acyclic_seed(seed, max_seeds=1000, max_depth=16):

@@ -683,6 +683,11 @@ def test_grade_explicit_weights(capsys):
     assert (rc, out) == (0, "-2\n")
 
 
+def test_grade_is_minus_two_under_negative_and_zero_weights(capsys):
+    rc, out, _ = run(capsys, "grade", "a3", "--weights", "5,-3,0")
+    assert (rc, out) == (0, "-2\n")
+
+
 def test_grade_weight_count_mismatch(capsys):
     rc, _, err = run(capsys, "grade", "a3", "--weights", "1,2")
     assert rc == 2
@@ -695,6 +700,40 @@ def test_grade_zero_form(capsys, tmp_path):
     rc, out, _ = run(capsys, "grade", str(path))
     assert rc == 1
     assert "no degree" in out
+
+
+# ---------------------------------------------------------------------------
+# budgets above sys.maxsize, on finite exchange graphs
+
+HUGE = str(10 ** 20)
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["explore", "a3", "--max-seeds", HUGE], "explore-a3.out"),
+    (["acyclic", str(GOLDEN_DIR / "a3-cyclic.seed"), "--search", HUGE],
+     "acyclic-a3-cyclic-search50.out"),
+    (["regularize", "a3", "--pattern", "1,3", "--search", HUGE],
+     "regularize-a3-13-search50.out"),
+])
+def test_a_budget_above_sys_maxsize_walks_the_whole_graph(capsys, argv, golden):
+    assert run(capsys, *argv) == (0, (GOLDEN_DIR / golden).read_text(), "")
+
+
+def test_deep_file_seed_budget_above_sys_maxsize(capsys, tmp_path):
+    point = tmp_path / "p.point"
+    point.write_text("x13 = 0\nx14 = -1\nx15 = 0\n")
+    argv = ["deep", str(GOLDEN_DIR / "a3.seed"), "--point", str(point), "--max-seeds"]
+    rc, out, err = run(capsys, *argv, "50")
+    assert (rc, len(out.splitlines())) == (1, 15)
+    assert run(capsys, *argv, HUGE) == (rc, out, err)
+
+
+def test_explore_budget_above_sys_maxsize():
+    seed = catalog("a3").seed
+    whole, huge = explore(seed), explore(seed, max_seeds=10 ** 20)
+    assert [s.names for s in huge.seeds] == [s.names for s in whole.seeds]
+    assert huge.truncated is whole.truncated is False
 
 
 # ---------------------------------------------------------------------------
@@ -980,6 +1019,7 @@ FUZZ_COMMANDS = (
     ["present", "SEED"],
     ["invariance", "SEED", "--depth", "1"],
     ["explore", "SEED", "--max-seeds", "10"],
+    ["explore", "SEED", "--max-seeds", "99999999999999999999", "--max-depth", "2"],
     ["regularize", "SEED", "--pattern", "1"],
     ["regularize", "SEED", "--pattern", "1", "--search", "3"],
     ["mutate", "SEED", "1"],

@@ -742,6 +742,23 @@ def test_degree_inhomogeneous():
         form_degree(f, ones(SL2))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_chart_form_has_degree_minus_two_under_every_weighting(data):
+    # every term W_ij f_i^-1 f_j^-1 df_i df_j has degree -w_i - w_j + w_i +
+    # w_j - 2, so grade can meet no inhomogeneous chart form
+    seed = data.draw(small_seeds(max_frozen=2))
+    for k in data.draw(st.lists(st.integers(1, seed.matrix.m), max_size=3)):
+        seed = seed.mutated(k)
+    weights = {nm: data.draw(st.integers(-5, 5)) for nm in seed.names}
+    form = wp_form(seed)
+    if form.coeffs:
+        assert form_degree(form, weights) == -2
+    else:
+        with pytest.raises(ValueError, match="the zero form has no degree"):
+            form_degree(form, weights)
+
+
 def test_degree_nontrivial_weights():
     f = ChartForm(AFFINE, {(1, 2): rf(AFFINE, "x0^2/x1")})
     assert form_degree(f, {"x0": 1, "x1": 2}) == 1   # (2-2) + 1 + 2 - 2

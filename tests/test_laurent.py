@@ -90,6 +90,18 @@ def test_monomial_and_scalar_ops():
     assert (m + 1) - 1 == m
 
 
+@pytest.mark.parametrize("build", [
+    lambda: LaurentPoly(T2, {(Fraction(1, 2), 0): 1}),
+    lambda: LaurentPoly.monomial(T2, {"x0": 1.5}),
+    lambda: LaurentPoly(T2, {(1,): 1}),
+])
+def test_the_gate_rejects_exponents_that_are_not_int_vectors_of_the_width(build):
+    # x0^1/2 would print as text that reads back as x0/2, and x0^1.5 would
+    # truncate to x0
+    with pytest.raises(ValueError, match="exponent vector"):
+        build()
+
+
 def test_negative_power_of_nonmonomial_rejected():
     with pytest.raises(ValueError):
         (X0 + X1) ** -1
