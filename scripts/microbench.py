@@ -25,6 +25,11 @@ markov catalog seeds.  ``wp_form`` builds the chart forms of
 those two seeds, ``check_invariance`` checks every mutation sequence of
 length 1 to 4 from each of them, and ``regularize_at`` rewrites the a3
 seed's form at each of the four nonempty vanishing patterns it accepts.
+``exprs parse a4-rewrite`` parses each expression of one A_4-class form
+file, the regularization rewrite of its chart form at the vanishing set
+{c, d}, and ``equal a4-rewrite`` is what ``clusterwp equal`` computes on
+that file and the chart form's file: both parsed, reduced to the chart and
+compared.
 
 Usage:  python3 scripts/microbench.py [--repeat N]
 """
@@ -42,13 +47,18 @@ from clusterwp import (
     RationalFn,
     Seed,
     VanishingPattern,
+    VarTable,
     acyclic_presentation,
     catalog,
     check_invariance,
     explore,
+    forms_equal,
+    parse_expression,
+    parse_form_file,
     propagate_point,
     pullback,
     rank,
+    reduce_to_chart,
     regularize_at,
     tangent_dimension,
     verify_point,
@@ -150,9 +160,37 @@ def form_cases():
                                for v in ({1}, {2}, {3}, {1, 3})] * 4
 
 
+A4_ROWS = ((0, 0, 0, 1), (0, 0, 1, 1), (0, -1, 0, 0), (-1, -1, 0, 0))
+A4_WP = "1/(a*d) ; a ; d\n1/(b*c) ; b ; c\n1/(b*d) ; b ; d\n"
+A4_REWRITE = """\
+gen cp = (1 + b)/c
+gen dp = (1 + a*b)/d
+1/(1) ; c ; cp
+-1*cp/(1*b) ; c ; b
+1/(1) ; d ; dp
+-1*dp/(1*a) ; d ; a
+-1*dp/(1*b) ; d ; b
+"""
+
+
+def equal_cases():
+    seed = Seed.initial(ExchangeMatrix(4, 4, A4_ROWS), tuple("abcd"))
+    table = VarTable(("a", "b", "c", "d", "cp", "dp"))
+    texts = [line.split("=")[1] if line.startswith("gen") else line.split(";")[0]
+             for line in A4_REWRITE.splitlines()]
+
+    def equal():
+        forms = [reduce_to_chart(parse_form_file(text, seed), seed)
+                 for text in (A4_WP, A4_REWRITE)]
+        assert forms_equal(*forms)
+
+    yield "exprs parse a4-rewrite", [partial(parse_expression, t, table) for t in texts] * 16
+    yield "equal a4-rewrite", [equal] * 16
+
+
 def main(repeat=5):
     for label, calls in [*scalar_cases(), *laurent_cases(), *point_cases(),
-                         *form_cases()]:
+                         *form_cases(), *equal_cases()]:
         print(f"{label:34s} {per_call_us(calls, repeat):10.2f} us/call")
 
 

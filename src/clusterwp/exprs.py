@@ -59,7 +59,14 @@ def _tokenize(text: str):
     return tokens
 
 
+def _rational(value):
+    return value.as_rational() if type(value) is LaurentPoly else value
+
+
 class _Parser:
+    """Values are LaurentPoly until a division or negative power by a
+    polynomial that is not one nonzero term, whose result is a RationalFn."""
+
     def __init__(self, tokens, table: VarTable, text_len: int):
         self.tokens = tokens
         self.k = 0
@@ -81,36 +88,45 @@ class _Parser:
         if tok[0] != "op" or tok[1] != op:
             raise ExprError(f"expected {op!r}, found {tok[1]!r}", tok[2])
 
-    def expr(self) -> RationalFn:
+    def expr(self):
         value = self.term()
         while True:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] in "+-":
                 self.k += 1
                 rhs = self.term()
+                if type(rhs) is RationalFn:     # not the reflected operation
+                    value = _rational(value)
                 value = value + rhs if tok[1] == "+" else value - rhs
             else:
                 return value
 
-    def term(self) -> RationalFn:
+    def term(self):
         value = self.factor()
         while True:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] in "*/":
                 self.k += 1
                 rhs = self.factor()
-                value = value * rhs if tok[1] == "*" else value / rhs
+                if type(rhs) is RationalFn:
+                    value = _rational(value)
+                if tok[1] == "*":
+                    value = value * rhs
+                elif type(rhs) is LaurentPoly and len(rhs.terms) == 1:
+                    value = value * rhs ** -1
+                else:
+                    value = _rational(value) / rhs
             else:
                 return value
 
-    def factor(self) -> RationalFn:
+    def factor(self):
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.k += 1
             return -self.factor()
         return self.power()
 
-    def power(self) -> RationalFn:
+    def power(self):
         base = self.atom()
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "^":
@@ -122,20 +138,22 @@ class _Parser:
                 tok = self.take()
             if tok[0] != "int":
                 raise ExprError("exponent must be an integer", tok[2])
+            if sign < 0 and type(base) is LaurentPoly and len(base.terms) != 1:
+                base = base.as_rational()
             return base ** (sign * int(tok[1]))
         return base
 
-    def atom(self) -> RationalFn:
+    def atom(self):
         tok = self.take()
         kind, value, col = tok
         if kind == "int":
-            return RationalFn.constant(self.table, int(value))
+            return LaurentPoly.constant(self.table, int(value))
         if kind == "ident":
             if value == "i":
-                return RationalFn.constant(self.table, GaussianRational(0, 1))
+                return LaurentPoly.constant(self.table, GaussianRational(0, 1))
             if value not in self.table:
                 raise ExprError(f"unknown variable {value!r}", col)
-            return RationalFn.variable(self.table, value)
+            return LaurentPoly.variable(self.table, value)
         if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -156,4 +174,4 @@ def parse_expression(text: str, table: VarTable) -> RationalFn:
     leftover = parser.peek()
     if leftover is not None:
         raise ExprError(f"unexpected {leftover[1]!r}", leftover[2])
-    return value
+    return _rational(value)

@@ -297,13 +297,17 @@ def check_invariance(seed, depth):
     if depth < 1:
         raise ValueError("depth must be at least 1")
     pushed = {seed: (_log_matrix(seed), True)}
+    edges = {}      # (seed, k) -> mu_k(seed): equal seeds on many paths
     level = {(): seed}
     report = []
     for d in range(1, depth + 1):
         parents, level = level, {}
         for ks in itertools.product(range(1, seed.matrix.m + 1), repeat=d):
             s, k = parents[ks[:-1]], ks[-1]
-            t = level[ks] = s.mutated(k)
+            t = edges.get((s, k))
+            if t is None:
+                t = edges[s, k] = s.mutated(k)
+            level[ks] = t
             if t not in pushed:
                 pushed[t] = _push(pushed[s][0], s, t, k)
             report.append((ks, pushed[t][1]))
@@ -368,7 +372,7 @@ def parse_form_file(text, chart, filename="<input>"):
 
     names = list(chart.names)
     gens = {}
-    bindings = {nm: RationalFn(LaurentPoly.variable(chart_table, nm))
+    bindings = {nm: LaurentPoly.variable(chart_table, nm).as_rational()
                 for nm in chart.names}
     for no, name, expr_text in gen_lines:
         try:
@@ -386,7 +390,7 @@ def parse_form_file(text, chart, filename="<input>"):
             raise FormFileError(filename, no, str(exc)) from None
         names.append(name)
         gens[name] = expansion
-        bindings[name] = RationalFn(expansion)
+        bindings[name] = expansion.as_rational()
 
     table = VarTable(names)
     zero_gen = any(exp.is_zero for exp in gens.values())

@@ -8,8 +8,9 @@ Representation choices that the rest of the package leans on:
 * Terms map dense exponent vectors (tuples of ints, negative allowed) to
   nonzero Gaussian-rational coefficients, so emptiness <=> the zero
   polynomial.  ``LaurentPoly(table, terms)`` is the one gate for values
-  from outside: it coerces every coefficient, prunes zeros and checks each
-  exponent vector's width and ``int`` entries.  Ring operations (``+``,
+  from outside: it checks each exponent vector's width and ``int``
+  entries, zero coefficient or not, coerces every coefficient and prunes
+  zeros.  Ring operations (``+``,
   ``-``, ``*``, ``**``, ``shifted``, ``partial``, ``divide_exact``) build
   their results with the trusted ``_trusted``, which takes their terms as
   they are; an operation that can cancel terms drops the zeros itself.
@@ -160,14 +161,13 @@ class LaurentPoly:
         width = len(table)
         clean = {}
         for exps, coeff in terms.items():
-            c = GaussianRational.of(coeff)
-            if not c:
-                continue
             t = tuple(exps)
             if len(t) != width or not _INT.issuperset(map(type, t)):
                 raise ValueError(
                     f"exponent vector {t} is not {width} ints, one per variable")
-            clean[t] = c
+            c = GaussianRational.of(coeff)
+            if c:
+                clean[t] = c
         self.table = table
         self.terms = clean
 
@@ -185,7 +185,7 @@ class LaurentPoly:
     def variable(cls, table: VarTable, name: str) -> "LaurentPoly":
         exps = [0] * len(table)
         exps[table.index(name)] = 1
-        return cls(table, {tuple(exps): 1})
+        return _trusted(table, {tuple(exps): _ONE})
 
     @classmethod
     def monomial(cls, table: VarTable, exps, coeff=1) -> "LaurentPoly":
@@ -250,11 +250,12 @@ class LaurentPoly:
                 f"variable tables differ: {self.table!r} vs {other.table!r}")
 
     def __add__(self, other):
-        if (c := _coerce(other)) is not None:
+        if type(other) is not LaurentPoly:
+            if (c := _coerce(other)) is None:
+                return NotImplemented
             other = LaurentPoly.constant(self.table, c)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._require_same(other)
+        if other.table is not self.table:
+            self._require_same(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
             s = out.get(exps)
@@ -282,12 +283,13 @@ class LaurentPoly:
         return _trusted(self.table, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if (c := _coerce(other)) is not None:
+        if type(other) is not LaurentPoly:
+            if (c := _coerce(other)) is None:
+                return NotImplemented
             return _trusted(self.table, {e: v * c for e, v in self.terms.items()}
                             if c else {})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._require_same(other)
+        if other.table is not self.table:
+            self._require_same(other)
         if _is_one(other):
             return self
         if _is_one(self):
@@ -771,13 +773,19 @@ def _normal(num: LaurentPoly, den: LaurentPoly) -> RationalFn:
 
 def _substitute_poly(poly: LaurentPoly, bindings: Mapping[str, RationalFn],
                      into: VarTable) -> RationalFn:
+    """``poly`` with each variable replaced by its binding over ``into``.
+    A monomial binding (denominator 1, one term) becomes an exponent shift
+    and a coefficient power; other bindings multiply as RationalFn powers,
+    in variable order.  A product with a monomial keeps the other factor's
+    term order, so taking the monomials first keeps the result's."""
+    names = poly.table.names
+    zero = (0,) * len(into)
     total = RationalFn.zero(into)
     for exps, coeff in poly.terms.items():
-        term = RationalFn.constant(into, coeff)
-        for k, e in enumerate(exps):
+        shift, c, factors = zero, coeff, []
+        for name, e in zip(names, exps):
             if not e:
                 continue
-            name = poly.table.names[k]
             if name not in bindings:
                 raise UnboundVariable(f"no substitution for variable {name!r}")
             value = bindings[name]
@@ -785,6 +793,17 @@ def _substitute_poly(poly: LaurentPoly, bindings: Mapping[str, RationalFn],
                 raise DenominatorZero(
                     f"substitution sends {name} to zero but it appears "
                     f"with exponent {e}")
+            num = value.num
+            if num.table != into:
+                raise ValueError(f"variable tables differ: {into!r} vs {num.table!r}")
+            if len(num.terms) == 1 and _is_one(value.den):
+                (m, mc), = num.terms.items()
+                shift = tuple([s + e * x for s, x in zip(shift, m)])
+                c = c * mc ** e
+            else:
+                factors.append((value, e))
+        term = _normal(_trusted(into, {shift: c}), _one(into))
+        for value, e in factors:
             term = term * value ** e
         total = total + term
     return total

@@ -324,7 +324,7 @@ def test_check_invariance_mutates_each_prefix_once(monkeypatch):
 
     monkeypatch.setattr(Seed, "mutated", counted)
     assert len(check_invariance(A3, 3)) == 3 + 9 + 27
-    assert len(calls) == 3 + 9 + 27
+    assert len(calls) == 27     # one per distinct (seed, k) edge
 
 
 # Seeds whose wp_form does not glue across every mutation; these pin

@@ -8,6 +8,9 @@ its quotients and verdicts.  ``RationalFn``'s own constructor, which
 normalizes any denominator, is the oracle of the operations that skip it,
 and ``reference_substitute``, which always divides by the substituted
 denominator, that of ``substitute``, which skips a denominator of 1.
+``reference_substitute_poly``, the substitution that multiplied every
+binding's power as a RationalFn, is the oracle of ``_substitute_poly``,
+which applies a monomial binding as an exponent shift.
 ``reference_evaluate``, the two-pass evaluation that coerced one value per
 variable before reading a term, is the oracle of ``evaluate``.
 ``reference_square``, the square over Q(i) objects, is the oracle of the
@@ -34,6 +37,7 @@ from clusterwp.laurent import (
     _substitute_poly,
     DenominatorZero,
     Inhomogeneous,
+    LaurentError,
     LaurentPoly,
     NegativePowerOfZero,
     NotDivisible,
@@ -94,6 +98,8 @@ def test_monomial_and_scalar_ops():
     lambda: LaurentPoly(T2, {(Fraction(1, 2), 0): 1}),
     lambda: LaurentPoly.monomial(T2, {"x0": 1.5}),
     lambda: LaurentPoly(T2, {(1,): 1}),
+    lambda: LaurentPoly(T2, {(Fraction(1, 2), 0): 0}),     # checked, then pruned
+    lambda: LaurentPoly(T2, {(1,): 0}),
 ])
 def test_the_gate_rejects_exponents_that_are_not_int_vectors_of_the_width(build):
     # x0^1/2 would print as text that reads back as x0/2, and x0^1.5 would
@@ -389,11 +395,34 @@ def test_substitution_zero_denominator():
         f.substitute({"x0": zero}, T2)
 
 
+def reference_substitute_poly(poly, bindings, into):
+    """``_substitute_poly`` as it was before monomial bindings became
+    exponent shifts: every term a RationalFn product of its coefficient and
+    the powers of its bindings, in variable order, summed as RationalFn."""
+    total = RationalFn.zero(into)
+    for exps, coeff in poly.terms.items():
+        term = RationalFn.constant(into, coeff)
+        for k, e in enumerate(exps):
+            if not e:
+                continue
+            name = poly.table.names[k]
+            if name not in bindings:
+                raise UnboundVariable(f"no substitution for variable {name!r}")
+            value = bindings[name]
+            if e < 0 and value.is_zero:
+                raise DenominatorZero(
+                    f"substitution sends {name} to zero but it appears "
+                    f"with exponent {e}")
+            term = term * value ** e
+        total = total + term
+    return total
+
+
 def reference_substitute(f, bindings, into):
     """``f.substitute(bindings, into)`` by substituting into both parts and
     dividing, whatever the denominator."""
-    num = _substitute_poly(f.num, bindings, into)
-    den = _substitute_poly(f.den, bindings, into)
+    num = reference_substitute_poly(f.num, bindings, into)
+    den = reference_substitute_poly(f.den, bindings, into)
     if den.is_zero:
         raise DenominatorZero("denominator vanishes under substitution")
     return num / den
@@ -416,6 +445,41 @@ def test_substitution_over_a_denominator_of_one_matches_the_division(data):
     f = data.draw(random_polys(T2)).as_rational()
     bindings = {nm: data.draw(values) for nm in T2.names}
     _assert_substitute_matches_reference(f, bindings, T3)
+
+
+def _substitution_outcome(call):
+    """The num/den term lists of ``call()`` in dict order, or the type and
+    message of what it raised."""
+    try:
+        f = call()
+    except (LaurentError, ValueError) as exc:
+        return type(exc), str(exc)
+    return _items(f.num), _items(f.den)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_substitute_poly_matches_the_all_rational_reference(data):
+    # monomials (Gaussian coefficients included) take the exponent-shift
+    # path; sums, quotients, zero, a foreign table and no binding at all
+    # the others
+    exps = st.tuples(*[st.integers(-2, 2)] * 3)
+    small = st.tuples(*[st.integers(-1, 1)] * 3)
+    monomials = st.builds(lambda e, c: LaurentPoly(T3, {e: c}), exps, _COEFFS.filter(bool))
+    short = st.lists(st.tuples(small, _COEFFS.filter(bool)), min_size=1, max_size=2).map(
+        lambda items: LaurentPoly(T3, dict(items)))
+    foreign = VarTable(("y0", "y1", "y2"))
+    values = st.one_of(
+        monomials.map(LaurentPoly.as_rational),
+        monomials.map(LaurentPoly.as_rational),
+        short.map(LaurentPoly.as_rational),
+        st.builds(lambda p, q: p / q, short, short),
+        st.sampled_from([RationalFn.zero(T3),
+                         LaurentPoly.variable(foreign, "y1").as_rational(), None]))
+    poly = data.draw(random_polys(T2))
+    bindings = {nm: v for nm in T2.names if (v := data.draw(values)) is not None}
+    assert (_substitution_outcome(lambda: _substitute_poly(poly, bindings, T3))
+            == _substitution_outcome(lambda: reference_substitute_poly(poly, bindings, T3)))
 
 
 @pytest.mark.parametrize("key", CATALOG_KEYS)
