@@ -16,7 +16,9 @@ clusters, 660 exchange relations) from one fixed Q(i) point of its first
 chart, ``verify_point`` on the point it propagates to, and
 ``tangent_dimension`` on the acyclic presentation of that first chart at
 the same point.  ``seeds explore a6`` walks the whole exchange graph of the
-A_6 path seed (429 clusters) and reads no expansion.  ``exact rank a8`` is
+A_6 path seed (429 clusters) and reads no expansion, and ``seeds
+acyclic-search a6`` searches from that seed mutated at 5, 4, 3, 4, a cyclic
+seed, for an acyclic one (24 clusters walked).  ``exact rank a8`` is
 the rank of the Jacobian of the A_8 acyclic presentation at one fixed Q(i)
 point of the variety.  ``rational substitute`` substitutes x_k' = P_k/x_k
 into every coefficient of the chart form of mu_k(seed), and ``pullback``
@@ -52,6 +54,7 @@ from clusterwp import (
     catalog,
     check_invariance,
     explore,
+    find_acyclic_seed,
     forms_equal,
     parse_expression,
     parse_form_file,
@@ -130,6 +133,10 @@ def point_cases():
     yield "regularity verify_point a5", [partial(verify_point, full)] * 20
     yield "regularity tangent_dimension a5", [partial(tangent_dimension, pres, at)] * 20
     yield "seeds explore a6", [partial(explore, linear_seed(6))] * 4
+    cyclic = linear_seed(6)
+    for k in (5, 4, 3, 4):
+        cyclic = cyclic.mutated(k)
+    yield "seeds acyclic-search a6", [partial(find_acyclic_seed, cyclic)] * 16
 
 
 def form_cases():

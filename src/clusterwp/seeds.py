@@ -272,7 +272,12 @@ class Seed:
         return cls(matrix, names, unit, tuple(row[:m] for row in unit[:m]))
 
     def chart(self):
-        """Variable table of this seed's own chart."""
+        """Variable table of this seed's own chart, one per seed."""
+        return self._table
+
+    @cached_property
+    def _table(self):
+        # kept in the instance __dict__, out of the fields and equality
         return VarTable(self.names)
 
     def _partner_gvector(self, k):
@@ -351,30 +356,36 @@ def _walk(seed, max_depth, name=None):
     moment it is discovered, the start first; discovery order is also
     expansion order.  Seeds at ``max_depth`` are not expanded.  New
     variables are named by ``name``, a ``_walk_namer`` from ``seed``.
-    A seed is not mutated back along the direction it was reached by:
-    mutation is an involution, so that neighbour is its parent, seen."""
+    Each edge of the exchange graph, a cluster's key and the g-vector it
+    gives up, is mutated along at most once: mutation is an involution, so
+    when (s, k) lands on t the edge (t, k) leads back to s, seen, and is
+    recorded to be skipped; a record is dropped when it is used."""
     name = name or _walk_namer(seed)
-    seen = {seed.cluster_key()}
-    queue = deque([(seed, 0, None)])
+    start = seed.cluster_key()
+    seen = {start}
+    crossed = set()   # (key of t, g-vector t gives up) of edges already crossed
+    queue = deque([(seed, 0, start)])
     yield seed, 0
     while queue:
-        s, depth, back = queue.popleft()
+        s, depth, s_key = queue.popleft()
         if depth == max_depth:
             continue
-        for k in range(1, s.matrix.m + 1):
-            if k == back:
+        for k, g in enumerate(s.gvectors[:s.matrix.m], 1):
+            if (edge := (s_key, g)) in crossed:
+                crossed.remove(edge)
                 continue
             # mutate under the old name and name the variable once the
             # cluster proves new: a new g-vector always makes a new cluster
             t = s.mutated(k, s.names[k - 1])
             key = t.cluster_key()
+            crossed.add((key, t.gvectors[k - 1]))
             if key in seen:
                 continue
             seen.add(key)
             new_name = name(s, k, t.gvectors[k - 1])
             t = _unchecked(Seed, t.matrix, t.names[:k - 1] + (new_name,) + t.names[k:],
                            t.gvectors, t.cvectors)
-            queue.append((t, depth + 1, k))
+            queue.append((t, depth + 1, key))
             yield t, depth + 1
 
 

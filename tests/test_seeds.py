@@ -33,7 +33,7 @@ from clusterwp.seeds import (
     prime_toggle,
 )
 from clusterwp.regularity import constant_vanishing_oracle, find_regularizing_seed
-from clusterwp.seeds import _exchange_partner, _walk
+from clusterwp.seeds import _exchange_partner, _walk, _walk_namer
 
 SL2 = ExchangeMatrix(1, 3, ((0, 1, 1),))
 A3 = ExchangeMatrix(3, 3, ((0, 1, 0), (-1, 0, 1), (0, -1, 0)))
@@ -432,6 +432,16 @@ def test_initial_seed_rejects_repeated_names():
         Seed.initial(ExchangeMatrix(2, 2, ((0, 1), (-1, 0))), ("x", "x"))
 
 
+def test_a_seed_keeps_one_chart_table():
+    # one table per seed lets Laurent arithmetic on its chart match tables
+    # by identity; the cached table is no field, so equality is unchanged
+    s = a3_seed().mutated(2)
+    assert s.chart() is s.chart()
+    assert s.chart() == VarTable(s.names)
+    assert s == a3_seed().mutated(2) and hash(s) == hash(a3_seed().mutated(2))
+    assert s.mutated(2).chart() is not a3_seed().chart()
+
+
 def _monomial(variables, factors, table):
     out = LaurentPoly.constant(table, 1)
     for name, e in factors:
@@ -567,7 +577,7 @@ def test_explore_refuses_a_namer_that_gives_a_bad_name():
 
 
 @pytest.mark.parametrize("seed,max_seeds,mutations", [
-    (a3_seed(), 1000, 29), (markov_seed(), 100, 100)], ids=["a3", "markov-100"])
+    (a3_seed(), 1000, 21), (markov_seed(), 100, 100)], ids=["a3", "markov-100"])
 def test_explore_forms_each_partner_gvector_once_per_mutation(monkeypatch, seed,
                                                               max_seeds, mutations):
     # the walk names a new variable by the g-vector Seed.mutated just formed
@@ -608,19 +618,23 @@ def _search_past_the_budget(search):
 def test_the_walk_never_steps_back_along_its_arrival_edge(monkeypatch, walk):
     # mu_k is an involution, so mutating a seed in the direction it was
     # reached by finds its parent again; a walk's seed is reached by the
-    # first mutation that formed its g-vectors, and the start by none
-    arrival, back = {}, []
+    # first mutation that formed its g-vectors, and the start by none.
+    # No other edge is crossed twice either: two adjacent clusters share
+    # exactly one edge, so the pair of their keys names it
+    arrival, back, edges = {}, [], []
     mutated = Seed.mutated
 
     def recorded(s, k, new_name=None):
         t = mutated(s, k, new_name)
         back.append(arrival.get(s.gvectors) == k)
         arrival.setdefault(t.gvectors, k)
+        edges.append(frozenset((s.cluster_key(), t.cluster_key())))
         return t
 
     monkeypatch.setattr(Seed, "mutated", recorded)
     walk()
     assert len(back) > 1 and not any(back)
+    assert len(set(edges)) == len(edges)
 
 
 def test_exchange_divisions_once_per_variable(monkeypatch):
@@ -783,7 +797,7 @@ def test_g_vector_walk_matches_expansion_walk_on_catalog(key, max_depth, limit):
 D4 = ExchangeMatrix(4, 4, ((0, 1, 1, 1), (-1, 0, 0, 0), (-1, 0, 0, 0), (-1, 0, 0, 0)))
 
 
-@pytest.mark.parametrize("seed,clusters", [
+FINITE_TYPES = [
     (linear_seed(4), 42),
     (linear_seed(5), 132),
     (Seed.initial(D4, ("a", "b", "c", "d")), 50),
@@ -793,10 +807,29 @@ D4 = ExchangeMatrix(4, 4, ((0, 1, 1, 1), (-1, 0, 0, 0), (-1, 0, 0, 0), (-1, 0, 0
     (Seed.initial(ExchangeMatrix(3, 5, ((0, 1, 0, 1, 0), (-1, 0, 1, -1, 2),
                                         (0, -2, 0, 1, 1))),
                   ("a", "b", "c", "f", "g")), 20),
-], ids=["A4", "A5", "D4", "B2-frozen", "G2-frozen", "B3-frozen"])
+]
+FINITE_IDS = ["A4", "A5", "D4", "B2-frozen", "G2-frozen", "B3-frozen"]
+
+
+@pytest.mark.parametrize("seed,clusters", FINITE_TYPES, ids=FINITE_IDS)
 def test_g_vector_walk_matches_expansion_walk_finite_types(seed, clusters):
     assert len(list(_walk(seed, 16))) == clusters
     assert_walks_agree(seed)
+
+
+@pytest.mark.parametrize("seed_clusters,mutations",
+                         zip(FINITE_TYPES, [84, 330, 100, 6, 8, 30]), ids=FINITE_IDS)
+def test_a_full_finite_walk_mutates_along_each_edge_once(monkeypatch, seed_clusters,
+                                                         mutations):
+    # a finite-type exchange graph is m-regular (Fomin-Zelevinsky, Cluster
+    # algebras II), so C clusters have m C / 2 edges
+    seed, clusters = seed_clusters
+    calls = []
+    mutated = Seed.mutated
+    monkeypatch.setattr(Seed, "mutated", lambda s, k, new_name=None:
+                        calls.append(k) or mutated(s, k, new_name))
+    assert len(list(_walk(seed, 16))) == clusters
+    assert len(calls) == mutations == seed.matrix.m * clusters // 2
 
 
 @pytest.mark.parametrize("rows", [
@@ -839,6 +872,61 @@ def skew_symmetrizable_seeds(draw):
 @given(skew_symmetrizable_seeds())
 def test_g_vector_walk_matches_expansion_walk_random(seed):
     assert_walks_agree(seed, max_depth=3, limit=30)
+
+
+def reference_walk(seed, max_depth, name=None):
+    """Reference walk: ``seeds._walk`` as it was when a seed skipped only
+    the direction it was reached by, and so mutated along every other edge
+    to a cluster already seen a second time."""
+    name = name or _walk_namer(seed)
+    seen = {seed.cluster_key()}
+    queue = deque([(seed, 0, None)])
+    yield seed, 0
+    while queue:
+        s, depth, back = queue.popleft()
+        if depth == max_depth:
+            continue
+        for k in range(1, s.matrix.m + 1):
+            if k == back:
+                continue
+            t = s.mutated(k, s.names[k - 1])
+            key = t.cluster_key()
+            if key in seen:
+                continue
+            seen.add(key)
+            new_name = name(s, k, t.gvectors[k - 1])
+            t = Seed(t.matrix, t.names[:k - 1] + (new_name,) + t.names[k:],
+                     t.gvectors, t.cvectors)
+            queue.append((t, depth + 1, k))
+            yield t, depth + 1
+
+
+def assert_walk_matches_reference(seed, max_seeds, max_depth):
+    """``_walk`` yields the seeds of ``reference_walk``, field for field and
+    depth for depth, and ``explore`` sets ``truncated`` as the reference
+    does."""
+    def trail(walk):
+        return [(s.names, s.matrix, s.gvectors, s.cvectors, depth)
+                for s, depth in islice(walk, max_seeds)]
+
+    assert trail(_walk(seed, max_depth)) == trail(reference_walk(seed, max_depth))
+    walk = reference_walk(seed, max_depth)
+    kept = list(islice(walk, max_seeds))
+    truncated = (next(walk, None) is not None
+                 or any(depth == max_depth for _, depth in kept))
+    assert explore(seed, max_seeds, max_depth).truncated == truncated
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_symmetrizable_seeds(), st.integers(1, 40), st.integers(0, 5))
+def test_walk_matches_the_reference_walk_random(seed, max_seeds, max_depth):
+    assert_walk_matches_reference(seed, max_seeds, max_depth)
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+@pytest.mark.parametrize("max_seeds,max_depth", [(1000, 16), (60, 16), (40, 3)])
+def test_walk_matches_the_reference_walk_on_catalog(key, max_seeds, max_depth):
+    assert_walk_matches_reference(catalog(key).seed, max_seeds, max_depth)
 
 
 # ---------------------------------------------------------------------------
