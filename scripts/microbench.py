@@ -13,12 +13,14 @@ The non-monic divisions divide by the second factor times 1+i, a leading
 coefficient that is no unit of the Gaussian integers, so the remainder is
 rescaled.  ``propagate_point`` runs on the full A_5 exploration (132
 clusters, 660 exchange relations) from one fixed Q(i) point of its first
-chart, ``verify_point`` on the point it propagates to, and
-``tangent_dimension`` on the acyclic presentation of that first chart at
-the same point.  ``seeds explore a6`` walks the whole exchange graph of the
-A_6 path seed (429 clusters) and reads no expansion, and ``seeds
-acyclic-search a6`` searches from that seed mutated at 5, 4, 3, 4, a cyclic
-seed, for an acyclic one (24 clusters walked).  ``exact rank a8`` is
+chart, ``verify_point`` and ``deep_witness`` on the point it propagates
+to, and ``tangent_dimension`` on the acyclic presentation of that first
+chart at the same point.  ``seeds relations a5`` builds a fresh
+``Exploration`` of the A_5 seeds and reads its ``relations()`` once, the
+first read that forms them.  ``seeds explore a6`` walks the whole exchange
+graph of the A_6 path seed (429 clusters) and reads no expansion, and
+``seeds acyclic-search a6`` searches from that seed mutated at 5, 4, 3, 4,
+a cyclic seed, for an acyclic one (24 clusters walked).  ``exact rank a8`` is
 the rank of the Jacobian of the A_8 acyclic presentation at one fixed Q(i)
 point of the variety.  ``rational substitute`` substitutes x_k' = P_k/x_k
 into every coefficient of the chart form of mu_k(seed), and ``pullback``
@@ -45,6 +47,7 @@ from functools import partial, reduce
 from clusterwp import (
     AlgebraPoint,
     ExchangeMatrix,
+    Exploration,
     GaussianRational,
     RationalFn,
     Seed,
@@ -53,6 +56,7 @@ from clusterwp import (
     acyclic_presentation,
     catalog,
     check_invariance,
+    deep_witness,
     explore,
     find_acyclic_seed,
     forms_equal,
@@ -131,7 +135,9 @@ def point_cases():
     at = AlgebraPoint({nm: full.assignment[nm] for nm in pres.table.names}, pres)
     yield "regularity propagate_point a5", [partial(propagate_point, start, a5)] * 20
     yield "regularity verify_point a5", [partial(verify_point, full)] * 20
+    yield "regularity deep_witness a5", [partial(deep_witness, full, a5)] * 20
     yield "regularity tangent_dimension a5", [partial(tangent_dimension, pres, at)] * 20
+    yield "seeds relations a5", [lambda: Exploration(a5.seeds, a5.truncated).relations()] * 4
     yield "seeds explore a6", [partial(explore, linear_seed(6))] * 4
     cyclic = linear_seed(6)
     for k in (5, 4, 3, 4):

@@ -11,7 +11,6 @@ whenever no two vanishing variables are exchange-adjacent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import islice
 
 from .exact import _ONE, GaussianParseError, GaussianRational, parse_gaussian, rank
@@ -105,9 +104,11 @@ def _relation_text(rel):
 def verify_point(point):
     """All violated, fully-evaluable constraints of the point's context:
     exchange relations that fail to hold and frozen variables assigned zero.
-    Empty list means valid.  Over an exploration each exchange binomial P
-    is evaluated at most once and each product f*f' formed once, however
-    many relations share them; the issues keep the relations' order."""
+    Empty list means valid.  Over an exploration each distinct exchange
+    equation f*f' = P is checked once: one product f*f' per equation and
+    each binomial P evaluated at most once, however many relations share
+    them.  The issues are still one per failing relation, in the relations'
+    order, each with its own relation's text."""
     if point.context is None:
         raise ValueError("point has no relation context to verify against")
     issues = []
@@ -124,18 +125,22 @@ def verify_point(point):
                 continue
             if value:
                 issues.append(f"{rel.to_expr()} = {value}")
-    else:
-        value = _binomial_values(a)
-        product = cache(lambda f, g: a[f] * a[g])
-        for rel in point.context.relations():
-            if rel.partner is None or rel.var not in a or rel.partner not in a:
-                continue
-            rhs = value(rel)
-            if rhs is None:
-                continue
-            lhs = product(rel.var, rel.partner)
-            if lhs != rhs:
-                issues.append(f"{_relation_text(rel)} violated: {lhs} != {rhs}")
+        return issues
+    value = _binomial_values(a)
+    equations, numbers = point.context._equations
+    failed = {}  # equation number -> "f*f' != P"
+    for n, rel in enumerate(equations):
+        if rel.partner is None or rel.var not in a or rel.partner not in a:
+            continue
+        rhs = value(rel)
+        if rhs is None:
+            continue
+        lhs = a[rel.var] * a[rel.partner]
+        if lhs != rhs:
+            failed[n] = f"{lhs} != {rhs}"
+    if failed:
+        issues += [f"{_relation_text(rel)} violated: {failed[n]}"
+                   for rel, n in zip(point.context.relations(), numbers) if n in failed]
     return issues
 
 
@@ -148,15 +153,18 @@ def propagate_point(point, exploration):
 
     Each pass visits the relations in ``exploration.relations()`` order and
     passes repeat until one assigns nothing.  Each exchange binomial P is
-    evaluated at most once per call and each P/f formed once, and a relation
-    leaves later passes once f and P are known.  The assignment's order and
-    the issues, a conflict reported once per partner, are those of
-    re-running every relation in every pass."""
+    evaluated at most once per call, and a relation leaves later passes
+    once f and P are known.  A directed equation, its P and f (which fix
+    f'), acts at its first copy with f nonzero and P known, forming P/f
+    once; its later copies could neither assign nor report anew and are
+    skipped.  The assignment's order and the issues, a conflict reported
+    once per partner and an f = 0 violation once per relation, are those
+    of re-running every relation in every pass."""
     a = dict(point.assignment)
     issues = []
     conflicted = set()  # partners whose conflict is already reported
+    acted = set()       # (binomial, f) of each directed equation that acted
     value = _binomial_values(a)
-    quotients = {}  # (binomial, f) -> P/f
     live = exploration.relations()
     changed = True
     while changed:
@@ -173,11 +181,10 @@ def propagate_point(point, exploration):
                     issues.append(f"{rel.var} = 0 but {_relation_text(rel)} "
                                   f"gives product {rhs}")
                 continue
-            if rel.partner is None:
+            if rel.partner is None or (rel.binomial, rel.var) in acted:
                 continue
-            val = quotients.get((rel.binomial, rel.var))
-            if val is None:
-                val = quotients[rel.binomial, rel.var] = rhs * fv.inverse()
+            acted.add((rel.binomial, rel.var))
+            val = rhs * fv.inverse()
             cur = a.get(rel.partner)
             if cur is None:
                 a[rel.partner] = val
@@ -391,16 +398,13 @@ def deep_witness(point, exploration):
     """Classify every explored cluster against the point: a cluster is
     avoided when some member variable is determined zero; the point is deep
     (relative to the exploration when truncated) when every cluster is
-    avoided."""
-    statuses = []
-    for s in exploration.seeds:
-        values = [point.assignment.get(nm) for nm in s.names]
-        if any(v is not None and not v for v in values):
-            statuses.append("has-determined-zero")
-        elif all(v is not None and v for v in values):
-            statuses.append("all-determined-nonzero")
-        else:
-            statuses.append("undetermined")
+    avoided.  Each cluster is read against the point's set of zero names
+    and its assigned names, with the statuses of reading every value."""
+    a = point.assignment
+    zeros = {nm for nm, v in a.items() if not v}
+    statuses = tuple("has-determined-zero" if not zeros.isdisjoint(s.names)
+                     else "all-determined-nonzero" if a.keys() >= set(s.names)
+                     else "undetermined" for s in exploration.seeds)
     if "all-determined-nonzero" in statuses:
         verdict = "not-deep"
     elif "undetermined" in statuses:
@@ -409,7 +413,7 @@ def deep_witness(point, exploration):
         verdict = "deep-relative"
     else:
         verdict = "deep"
-    return DeepWitnessReport(tuple(statuses), verdict)
+    return DeepWitnessReport(statuses, verdict)
 
 
 # ---------------------------------------------------------------------------

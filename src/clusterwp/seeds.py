@@ -540,6 +540,22 @@ class Exploration:
                     binomials.setdefault(key, len(binomials))))
         return rels
 
+    @cached_property
+    def _equations(self):
+        """The distinct exchange equations f*f' = P, one per unordered
+        {var, partner} pair and binomial: the first relation of each, and
+        each relation's equation number, in ``relations()`` order.  Both
+        directions of an edge and every seed holding the pair share one."""
+        firsts, numbers, seen = [], [], {}  # (binomial, f, f') -> number
+        for rel in self._relations:
+            n = seen.get((rel.binomial, rel.var, rel.partner))
+            if n is None:
+                n = seen[rel.binomial, rel.var, rel.partner] = len(firsts)
+                seen[rel.binomial, rel.partner, rel.var] = n
+                firsts.append(rel)
+            numbers.append(n)
+        return firsts, numbers
+
 
 def explore(seed, max_seeds=1000, max_depth=16, namer=prime_namer):
     """Breadth-first exploration of the mutation graph from a seed.

@@ -449,15 +449,16 @@ def test_microbench_smoke(capsys):
     script = Path(__file__).parent.parent / "scripts" / "microbench.py"
     runpy.run_path(str(script))["main"](repeat=1)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 27 and all(line.endswith(" us/call") for line in lines)
+    assert len(lines) == 29 and all(line.endswith(" us/call") for line in lines)
     for label in ("gaussian ** integral", "gaussian ** non-integral",
                   "laurent square markov-60", "laurent cube markov-60",
                   "laurent divide_exact markov-60",
                   "laurent divide_exact non-monic", "laurent to_expr markov-60",
-                  "seeds explore a6", "seeds acyclic-search a6",
+                  "seeds relations a5", "seeds explore a6", "seeds acyclic-search a6",
                   "exact rank a8",
                   "regularity propagate_point a5",
-                  "regularity verify_point a5", "regularity tangent_dimension a5",
+                  "regularity verify_point a5", "regularity deep_witness a5",
+                  "regularity tangent_dimension a5",
                   "rational substitute a3/markov", "pullback a3/markov",
                   "wp_form a3/markov", "check_invariance a3/markov d4",
                   "regularize_at a3", "exprs parse a4-rewrite", "equal a4-rewrite"):

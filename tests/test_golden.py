@@ -10,7 +10,9 @@ columns; the c3 and m2 depth-4 transcripts were captured from the chained
 pullbacks, the g2 one from the Laurent push-forward that preceded the
 integer dlog carry), of the commands
 that name new variables (``present``, ``mutate``, ``regularize`` without a
-search, ``tangent`` over a catalog presentation), of ``equal`` runs whose
+search, ``tangent`` over a catalog presentation), of ``deep`` runs (the
+a3 catalog deep point, the affine window's ``p0`` and an sl2 point that
+leaves a cluster undetermined), one status per cluster, of ``equal`` runs whose
 difference has a denominator of more than one term (the a3 and markov
 chart forms against forms with binomial denominators) and of
 ``scripts/tour.py``, which calls every walker consumer.  A refactor of the walk, of the naming or of the form reduction
@@ -64,6 +66,9 @@ CASES = [
     ("mutate-affine-a11-121", 0, ["mutate", "affine-a11", "1", "2", "1"]),
     ("regularize-sl2-1", 0, ["regularize", "sl2", "--pattern", "1"]),
     ("tangent-a3-deep", 0, ["tangent", "a3", "--point", "@a3-deep.point"]),
+    ("deep-a3", 0, ["deep", "a3", "--point", "@a3-deep.point"]),
+    ("deep-affine-a11-p0", 0, ["deep", "affine-a11", "--point", "@affine-a11-p0.point"]),
+    ("deep-sl2-x-zero", 1, ["deep", "sl2", "--point", "@sl2-x-zero.point"]),
     ("equal-a3-binomial-den", 1,
      ["equal", "a3", "@a3-wp.form", "@a3-binomial-den.form"]),
     ("equal-markov-binomial-den", 1,

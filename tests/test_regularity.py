@@ -338,6 +338,96 @@ def test_a3_generic_point_evaluates_every_binomial_once(evaluations):
     assert sorted(evaluations) == list(range(12))
 
 
+@pytest.mark.parametrize("key,equations,relations", [
+    ("sl2", 1, 2), ("a3", 15, 42), ("affine-a11", 8, 14), ("markov", 21, 30),
+])
+def test_each_exploration_indexes_its_distinct_equations(key, equations, relations):
+    e = catalog(key).exploration
+    firsts, numbers = e._equations
+    assert (len(firsts), len(numbers)) == (equations, relations)
+    for rel, n in zip(e.relations(), numbers):
+        first = firsts[n]
+        assert first.binomial == rel.binomial
+        assert {first.var, first.partner} == {rel.var, rel.partner}
+    # numbered in order of first appearance, each first copy kept
+    assert [numbers.index(n) for n in range(equations)] == [
+        e.relations().index(first) for first in firsts]
+
+
+def test_the_equation_index_is_built_on_first_use():
+    e = explore(A3)
+    fresh = Exploration(e.seeds, e.truncated)
+    assert "_equations" not in vars(e) and "_equations" not in vars(fresh)
+    # propagation tells directed equations apart by binomial and f alone
+    full, _ = propagate_point(AlgebraPoint({"x13": 1, "x14": 1, "x15": 1}, fresh), fresh)
+    assert "_equations" not in vars(fresh)
+    verify_point(full)
+    assert "_equations" in vars(fresh)
+
+
+@pytest.fixture
+def scalar_ops(monkeypatch):
+    """Counts of the Q(i) products and inverses formed outside the exchange
+    evaluations (whose own products the ``evaluations`` fixture covers)."""
+    counts = {"mul": 0, "inverse": 0}
+    inside = []
+    evaluate = regularity_module._exchange_value
+
+    def evaluate_uncounted(rel, a):
+        inside.append(rel)
+        try:
+            return evaluate(rel, a)
+        finally:
+            inside.pop()
+
+    def counted(key, op):
+        original = getattr(GaussianRational, op)
+
+        def method(*args):
+            if not inside:
+                counts[key] += 1
+            return original(*args)
+        monkeypatch.setattr(GaussianRational, op, method)
+
+    monkeypatch.setattr(regularity_module, "_exchange_value", evaluate_uncounted)
+    counted("mul", "__mul__")
+    counted("inverse", "inverse")
+    return counts
+
+
+def test_a3_verify_forms_one_product_per_equation(scalar_ops):
+    e = catalog("a3").exploration
+    full, issues = propagate_point(AlgebraPoint({"x13": 1, "x14": 1, "x15": 1}, e), e)
+    assert issues == [] and len(full.assignment) == 9
+    # the 30 directed equations each form P/f once: one inverse, one product
+    assert scalar_ops == {"mul": 30, "inverse": 30}
+    scalar_ops.update(mul=0, inverse=0)
+    assert verify_point(full) == []
+    assert scalar_ops == {"mul": 15, "inverse": 0}
+
+
+@pytest.mark.parametrize("key", ["sl2", "a3", "affine-a11", "markov"])
+def test_point_checks_work_once_per_equation(scalar_ops, key):
+    entry = catalog(key)
+    e = entry.exploration
+    firsts, numbers = e._equations
+    directed = {(n, rel.var) for rel, n in zip(e.relations(), numbers)
+                if rel.partner is not None}
+    root = e.seeds[0].names
+    starts = [dict.fromkeys(root, 1), dict.fromkeys(root, 0), {root[0]: 2},
+              *(p.assignment for p in entry.points.values())]
+    for values in starts:
+        scalar_ops.update(mul=0, inverse=0)
+        full, _ = propagate_point(AlgebraPoint(values, e), e)
+        assert scalar_ops["mul"] == scalar_ops["inverse"] <= len(directed)
+        scalar_ops.update(mul=0, inverse=0)
+        verify_point(full)
+        assert scalar_ops == {"mul": sum(
+            rel.partner is not None and {rel.var, rel.partner} <= full.assignment.keys()
+            and all(nm in full.assignment for nm, _ in rel.pos + rel.neg)
+            for rel in firsts), "inverse": 0}
+
+
 # ---------------------------------------------------------------------------
 # vanishing patterns
 # ---------------------------------------------------------------------------
@@ -657,6 +747,40 @@ def test_tangent_at_least_rank_bound():
 # ---------------------------------------------------------------------------
 # deep witness
 # ---------------------------------------------------------------------------
+
+def reference_deep_witness(point, exploration):
+    """deep_witness as a per-seed loop over the members' values."""
+    statuses = []
+    for s in exploration.seeds:
+        values = [point.assignment.get(nm) for nm in s.names]
+        if any(v is not None and not v for v in values):
+            statuses.append("has-determined-zero")
+        elif all(v is not None and v for v in values):
+            statuses.append("all-determined-nonzero")
+        else:
+            statuses.append("undetermined")
+    if "all-determined-nonzero" in statuses:
+        verdict = "not-deep"
+    elif "undetermined" in statuses:
+        verdict = "inconclusive"
+    elif exploration.truncated:
+        verdict = "deep-relative"
+    else:
+        verdict = "deep"
+    return tuple(statuses), verdict
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_points())
+def test_deep_witness_matches_the_per_seed_loop(case):
+    exploration, point = case
+    if isinstance(point.context, Presentation):
+        return
+    full, _ = propagate_point(point, exploration)
+    for p in (point, full):
+        report = deep_witness(p, exploration)
+        assert (report.cluster_status, report.verdict) == reference_deep_witness(p, exploration)
+
 
 def test_deep_witness_affine_relative():
     e = affine_chain()
