@@ -22,7 +22,9 @@ graph of the A_6 path seed (429 clusters) and reads no expansion, and
 ``seeds acyclic-search a6`` searches from that seed mutated at 5, 4, 3, 4,
 a cyclic seed, for an acyclic one (24 clusters walked).  ``exact rank a8`` is
 the rank of the Jacobian of the A_8 acyclic presentation at one fixed Q(i)
-point of the variety.  ``rational substitute`` substitutes x_k' = P_k/x_k
+point of the variety, and ``regularity tangent_dimension a8`` the tangent
+dimension there, the largest presentation the ``points`` benchmark times.
+``rational substitute`` substitutes x_k' = P_k/x_k
 into every coefficient of the chart form of mu_k(seed), and ``pullback``
 pulls that form back to the seed, for every direction k of the a3 and
 markov catalog seeds.  ``wp_form`` builds the chart forms of
@@ -120,12 +122,12 @@ def linear_seed(n):
 
 
 def point_cases():
-    pres = acyclic_presentation(linear_seed(8))
-    at = {nm: G(k + 2, k % 3 - 1) for k, nm in enumerate(pres.names)}
-    for nm, partner, rel in zip(pres.names, pres.primed_names, pres.relations):
-        at[partner] = -rel.evaluate({**at, partner: 0}) / at[nm]   # x * x' = P
-    jacobian = [[rel.partial(nm).evaluate(at) for nm in pres.table.names]
-                for rel in pres.relations]
+    a8 = acyclic_presentation(linear_seed(8))
+    at8 = {nm: G(k + 2, k % 3 - 1) for k, nm in enumerate(a8.names)}
+    for nm, partner, rel in zip(a8.names, a8.primed_names, a8.relations):
+        at8[partner] = -rel.evaluate({**at8, partner: 0}) / at8[nm]   # x * x' = P
+    jacobian = [[rel.partial(nm).evaluate(at8) for nm in a8.table.names]
+                for rel in a8.relations]
     yield "exact rank a8", [partial(rank, jacobian)] * 20
     seed = linear_seed(5)
     names = seed.names
@@ -137,6 +139,8 @@ def point_cases():
     yield "regularity verify_point a5", [partial(verify_point, full)] * 20
     yield "regularity deep_witness a5", [partial(deep_witness, full, a5)] * 20
     yield "regularity tangent_dimension a5", [partial(tangent_dimension, pres, at)] * 20
+    yield "regularity tangent_dimension a8", [partial(tangent_dimension, a8,
+                                                      AlgebraPoint(at8, a8))] * 20
     yield "seeds relations a5", [lambda: Exploration(a5.seeds, a5.truncated).relations()] * 4
     yield "seeds explore a6", [partial(explore, linear_seed(6))] * 4
     cyclic = linear_seed(6)

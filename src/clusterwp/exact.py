@@ -279,25 +279,32 @@ def format_gaussian(value: GaussianRational) -> str:
 # ---------------------------------------------------------------------------
 
 def rank(rows) -> int:
-    """Rank over Q(i) of a sequence of rows of scalars: forward elimination
-    to an echelon form, updating only the columns right of each pivot, and
-    counting the pivots; exact, no pivot thresholds."""
-    rows = [[GaussianRational.of(x) for x in row] for row in rows]
+    """Rank over Q(i) of a sequence of rows of scalars, exact, with no pivot
+    thresholds.  Each row is scaled to Gaussian integers, which leaves the
+    rank alone; forward elimination without fractions, row_i <- p row_i -
+    c row_r for the pivot p of row r and the entry c of row_i below it,
+    updates only the columns right of the pivot and divides each new row
+    by the integer gcd of its parts; the rank is the number of pivots."""
+    rows = [_gaussian_integers([GaussianRational.of(x) for x in row])[0] for row in rows]
     ncols = len(rows[0]) if rows else 0
     if any(len(row) != ncols for row in rows):
         raise ValueError("ragged rows")
     r = 0
     for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
+        for pivot in range(r, len(rows)):
+            if rows[pivot][col] != (0, 0):
+                break
+        else:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        rest = rows[r][col + 1:]
-        inv = rows[r][col].inverse()
+        (p, q), rest = rows[r][col], rows[r][col + 1:]
         for row in rows[r + 1:]:
-            if row[col]:
-                f = row[col] * inv
-                row[col + 1:] = [a - f * b for a, b in zip(row[col + 1:], rest)]
+            c, e = row[col]
+            if c or e:
+                new = [(p * a - q * b - c * x + e * y, p * b + q * a - c * y - e * x)
+                       for (a, b), (x, y) in zip(row[col + 1:], rest)]
+                g = gcd(*(part for z in new for part in z))
+                row[col + 1:] = [(a // g, b // g) for a, b in new] if g > 1 else new
         r += 1
         if r == len(rows):
             break

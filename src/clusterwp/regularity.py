@@ -373,7 +373,10 @@ def tangent_dimension(presentation, point):
     issues = verify_point(AlgebraPoint(point.assignment, presentation))
     if issues:
         raise ValueError(f"not a point of the algebra: {issues[0]}")
-    jacobian = [[p.evaluate(point.assignment) for p in row] for row in presentation._jacobian]
+    # most partials are the zero polynomial, whose value is exactly 0
+    zero = GaussianRational(0)
+    jacobian = [[p.evaluate(point.assignment) if p else zero for p in row]
+                for row in presentation._jacobian]
     return len(names) - rank(jacobian)
 
 

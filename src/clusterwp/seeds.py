@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import gcd, lcm, prod
 
 from .laurent import LaurentPoly, NotLaurent, VarTable, _RESERVED, _check_name
@@ -474,7 +474,14 @@ class Exploration:
     seed that is mu_k of an earlier seed; its expansion is the exchange
     partner there, one exact division, and each power of an expansion that
     the exchange binomials need is formed once.  ``truncated``: the seed
-    budget bit, or a kept seed lies unexpanded at the depth cap (``explore``)."""
+    budget bit, or a kept seed lies unexpanded at the depth cap (``explore``).
+
+    ``relations()`` finds a partner among the kept seeds: the names of a
+    seed but slot k's, an almost-cluster, lie in exactly two clusters
+    (Fomin-Zelevinsky, *Cluster algebras II*), so one other name found with
+    them at some slot is the partner.  Where none is (an edge left unwalked,
+    a cluster kept twice or in another slot order) the partner is the name,
+    if any, of the g-vector that mu_k gives slot k."""
 
     def __init__(self, seeds, truncated):
         self.seeds = tuple(seeds)
@@ -528,16 +535,45 @@ class Exploration:
 
     @cached_property
     def _relations(self):
+        # Two seeds holding an almost-cluster in the same order around slot
+        # k are one seed, or one mutation apart: a cluster determines its
+        # seed, so the second has the first's P+ and P- at k, or swapped.
+        almost = {}  # names but slot k's -> [names found at k, first edge there]
+        entries = []
+        for s in self.seeds:
+            names = s.names
+            for k in range(s.matrix.m):
+                entry = almost.setdefault(names[:k] + names[k + 1:], [set(), None])
+                entry[0].add(names[k])
+                entries.append(entry)
+        entries = iter(entries)
         rels = []
-        binomials = {}  # unordered pair of factor sets -> its number
+        binomials = {}  # (P+, P-) as sorted factors, both ways round -> number
+        numbers = count()
         for idx, s in enumerate(self.seeds):
+            names = s.names
             for k in range(1, s.matrix.m + 1):
-                pos, neg = _exchange_monomials(s.matrix.rows[k - 1], s.names)
-                key = frozenset((frozenset(pos), frozenset(neg)))
-                rels.append(ExchangeRelation(
-                    idx, k, s.names[k - 1],
-                    self._names.get(s._partner_gvector(k)), pos, neg,
-                    binomials.setdefault(key, len(binomials))))
+                var = names[k - 1]
+                entry = next(entries)
+                found, edge = entry
+                if len(found) == 2:
+                    a, b = found
+                    partner = b if a == var else a
+                else:
+                    partner = self._names.get(s._partner_gvector(k))
+                if edge is not None and edge[0] == k:
+                    _, first, pos, neg, number = edge
+                    if first != var:
+                        pos, neg = neg, pos
+                else:
+                    pos, neg = _exchange_monomials(s.matrix.rows[k - 1], names)
+                    key = (tuple(sorted(pos)), tuple(sorted(neg)))
+                    number = binomials.get(key)
+                    if number is None:
+                        number = binomials[key] = binomials[key[::-1]] = next(numbers)
+                    if edge is None:
+                        entry[1] = (k, var, pos, neg, number)
+                rels.append(ExchangeRelation(idx, k, var, partner, pos, neg, number))
         return rels
 
     @cached_property

@@ -360,7 +360,9 @@ def test_rank_rejects_ragged_rows():
 
 
 small_ints = st.integers(min_value=-4, max_value=4)
-small_entries = st.builds(G, st.builds(Fraction, small_ints), st.builds(Fraction, small_ints))
+# parts with denominators 1 to 6, so that rows meet unequal denominators
+small_parts = st.builds(Fraction, small_ints, st.integers(min_value=1, max_value=6))
+small_entries = st.builds(G, small_parts, small_parts)
 
 
 @st.composite
@@ -449,7 +451,7 @@ def test_microbench_smoke(capsys):
     script = Path(__file__).parent.parent / "scripts" / "microbench.py"
     runpy.run_path(str(script))["main"](repeat=1)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 29 and all(line.endswith(" us/call") for line in lines)
+    assert len(lines) == 30 and all(line.endswith(" us/call") for line in lines)
     for label in ("gaussian ** integral", "gaussian ** non-integral",
                   "laurent square markov-60", "laurent cube markov-60",
                   "laurent divide_exact markov-60",
@@ -458,7 +460,7 @@ def test_microbench_smoke(capsys):
                   "exact rank a8",
                   "regularity propagate_point a5",
                   "regularity verify_point a5", "regularity deep_witness a5",
-                  "regularity tangent_dimension a5",
+                  "regularity tangent_dimension a5", "regularity tangent_dimension a8",
                   "rational substitute a3/markov", "pullback a3/markov",
                   "wp_form a3/markov", "check_invariance a3/markov d4",
                   "regularize_at a3", "exprs parse a4-rewrite", "equal a4-rewrite"):

@@ -46,6 +46,7 @@ from clusterwp.seeds import (
     is_acyclic,
     parse_seed_file,
 )
+from test_exact import reference_rank
 
 I = GaussianRational(0, 1)
 
@@ -742,6 +743,65 @@ def test_tangent_at_least_rank_bound():
         if verify_point(p):
             continue
         assert tangent_dimension(pres, p) >= 3
+
+
+def reference_tangent_dimension(presentation, point):
+    """``tangent_dimension`` as it was, on a valid point: every partial of
+    every relation evaluated, the rank by ``reference_rank``."""
+    names = presentation.table.names
+    jacobian = [[rel.partial(nm).evaluate(point.assignment) for nm in names]
+                for rel in presentation.relations]
+    return len(names) - reference_rank(jacobian)
+
+
+@pytest.mark.parametrize("values,dimension", [
+    ((0, -1, 0, 0, 0, 0), 4), ((1, 1, 1, 2, 2, 2), 3)], ids=["deep", "generic"])
+def test_tangent_matches_the_dense_reference_on_a3(values, dimension):
+    pres = acyclic_presentation(A3, a3_namer)
+    p = AlgebraPoint(dict(zip(("x13", "x14", "x15", "x24", "x35", "x46"), values)), pres)
+    assert tangent_dimension(pres, p) == reference_tangent_dimension(pres, p) == dimension
+
+
+@functools.cache
+def path_presentation(orientation):
+    """The acyclic presentation of the A_n path quiver, n - 1 the length
+    of ``orientation``, whose signs orient the edges i -> i+1 or back."""
+    n = len(orientation) + 1
+    rows = [[0] * n for _ in range(n)]
+    for i, sign in enumerate(orientation):
+        rows[i][i + 1], rows[i + 1][i] = sign, -sign
+    seed = Seed.initial(ExchangeMatrix(n, n, tuple(map(tuple, rows))),
+                        [f"y{i}" for i in range(1, n + 1)])
+    return acyclic_presentation(seed)
+
+
+@st.composite
+def path_points(draw):
+    """A point of an A_3..A_8 path presentation: chart values drawn with
+    many zeros, a zero whose binomial P does not vanish there made 1 until
+    none is left, then each partner P/x, or, where x = 0, drawn and often
+    0 (as at the singular point of A_3)."""
+    pres = path_presentation(tuple(draw(st.lists(st.sampled_from((1, -1)),
+                                                 min_size=2, max_size=7))))
+    a = {nm: GaussianRational.of(draw(st.sampled_from((0, 0, 0, -1, -1, 1, I, 2))))
+         for nm in pres.names}
+    while True:
+        chart_only = {**a, **dict.fromkeys(pres.primed_names, 0)}
+        binomials = [-rel.evaluate(chart_only) for rel in pres.relations]
+        stuck = [nm for nm, p in zip(pres.names, binomials) if p and not a[nm]]
+        if not stuck:
+            break
+        a[stuck[0]] = GaussianRational(1)
+    for nm, partner, p in zip(pres.names, pres.primed_names, binomials):
+        a[partner] = p / a[nm] if a[nm] else draw(st.sampled_from((0, 0, 0, 1, I)))
+    return pres, AlgebraPoint(a, pres)
+
+
+@settings(max_examples=150, deadline=None)
+@given(path_points())
+def test_tangent_matches_the_dense_reference_on_path_presentations(case):
+    pres, point = case
+    assert tangent_dimension(pres, point) == reference_tangent_dimension(pres, point)
 
 
 # ---------------------------------------------------------------------------

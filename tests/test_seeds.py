@@ -2,6 +2,7 @@
 
 import itertools
 from collections import deque
+from dataclasses import astuple
 from itertools import islice
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from clusterwp.catalog import CATALOG_KEYS, catalog
 from clusterwp.laurent import LaurentPoly, VarTable
 from clusterwp.seeds import (
     ExchangeMatrix,
+    ExchangeRelation,
     Exploration,
     NotAcyclic,
     NotFoundWithinBudget,
@@ -33,7 +35,12 @@ from clusterwp.seeds import (
     prime_toggle,
 )
 from clusterwp.regularity import constant_vanishing_oracle, find_regularizing_seed
-from clusterwp.seeds import _exchange_partner, _walk, _walk_namer
+from clusterwp.seeds import (
+    _exchange_monomials,
+    _exchange_partner,
+    _walk,
+    _walk_namer,
+)
 
 SL2 = ExchangeMatrix(1, 3, ((0, 1, 1),))
 A3 = ExchangeMatrix(3, 3, ((0, 1, 0), (-1, 0, 1), (0, -1, 0)))
@@ -927,6 +934,72 @@ def test_walk_matches_the_reference_walk_random(seed, max_seeds, max_depth):
 @pytest.mark.parametrize("max_seeds,max_depth", [(1000, 16), (60, 16), (40, 3)])
 def test_walk_matches_the_reference_walk_on_catalog(key, max_seeds, max_depth):
     assert_walk_matches_reference(catalog(key).seed, max_seeds, max_depth)
+
+
+# ---------------------------------------------------------------------------
+# exchange relations against the g-vector loop
+# ---------------------------------------------------------------------------
+
+def reference_relations(e):
+    """``Exploration.relations()`` as it was when every partner was read
+    off its g-vector and every binomial numbered by its unordered pair of
+    factor sets."""
+    rels, binomials = [], {}
+    for idx, s in enumerate(e.seeds):
+        for k in range(1, s.matrix.m + 1):
+            pos, neg = _exchange_monomials(s.matrix.rows[k - 1], s.names)
+            key = frozenset((frozenset(pos), frozenset(neg)))
+            rels.append(ExchangeRelation(
+                idx, k, s.names[k - 1], e._names.get(s._partner_gvector(k)), pos, neg,
+                binomials.setdefault(key, len(binomials))))
+    return rels
+
+
+def assert_relations_match_reference(e):
+    """Every relation equals the reference's field for field, and the
+    distinct equations are those the reference's relations give."""
+    want = reference_relations(e)
+    assert [astuple(rel) for rel in e.relations()] == [astuple(rel) for rel in want]
+    fresh = Exploration(e.seeds, e.truncated)
+    fresh.__dict__["_relations"] = want
+    assert e._equations == fresh._equations
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_relations_match_the_reference_on_catalog(key):
+    assert_relations_match_reference(catalog(key).exploration)
+
+
+@settings(max_examples=100, deadline=None)
+@given(skew_symmetrizable_seeds(), st.one_of(
+    st.just({}), st.builds(dict, max_seeds=st.integers(1, 40)),
+    st.builds(dict, max_depth=st.integers(0, 4))))
+def test_relations_match_the_reference_random(seed, budget):
+    assert_relations_match_reference(explore(seed, **budget))
+
+
+def _named_path(seed, directions):
+    """``seed`` and its mutations along ``directions`` in turn, each new
+    variable named as a walk from ``seed`` names it."""
+    name = _walk_namer(seed)
+    path = [seed]
+    for k in directions:
+        path.append(path[-1].mutated(k, name(path[-1], k)))
+    return path
+
+
+def test_relations_match_the_reference_on_hand_built_explorations():
+    a3 = a3_seed()
+    twice = Exploration([a3, a3.mutated(1).mutated(1)], True)
+    assert twice.seeds[1] == a3          # one cluster listed twice
+    assert [rel.partner for rel in twice.relations()] == [None] * 6
+    a2 = Seed.initial(ExchangeMatrix(2, 2, ((0, 1), (-1, 0))), ("a", "b"))
+    pentagon = _named_path(a2, (1, 2, 1, 2, 1, 2, 1))
+    assert pentagon[5].names == ("b", "a")   # the first cluster, slots swapped
+    explorations = [twice, Exploration(pentagon[:6], True), Exploration(pentagon, True),
+                    Exploration(_named_path(a3, (1, 2, 3, 1, 2)), True)]
+    for e in explorations:
+        assert_relations_match_reference(e)
 
 
 # ---------------------------------------------------------------------------
