@@ -15,10 +15,12 @@ rescaled.  ``propagate_point`` runs on the full A_5 exploration (132
 clusters, 660 exchange relations) from one fixed Q(i) point of its first
 chart, ``verify_point`` and ``deep_witness`` on the point it propagates
 to, and ``tangent_dimension`` on the acyclic presentation of that first
-chart at the same point.  ``seeds relations a5`` builds a fresh
-``Exploration`` of the A_5 seeds and reads its ``relations()`` once, the
-first read that forms them.  ``seeds explore a6`` walks the whole exchange
-graph of the A_6 path seed (429 clusters) and reads no expansion, and
+chart at the same point.  ``seeds exploration a5`` builds a fresh
+``Exploration`` of the A_5 seeds, and ``seeds relations a5`` builds one
+and reads its ``relations()`` once, the first read that forms them: the
+difference of the two is the cost of the relations alone.
+``seeds explore a6`` walks the whole exchange graph of the A_6 path seed
+(429 clusters) and reads no expansion, and
 ``seeds acyclic-search a6`` searches from that seed mutated at 5, 4, 3, 4,
 a cyclic seed, for an acyclic one (24 clusters walked).  ``exact rank a8`` is
 the rank of the Jacobian of the A_8 acyclic presentation at one fixed Q(i)
@@ -141,6 +143,7 @@ def point_cases():
     yield "regularity tangent_dimension a5", [partial(tangent_dimension, pres, at)] * 20
     yield "regularity tangent_dimension a8", [partial(tangent_dimension, a8,
                                                       AlgebraPoint(at8, a8))] * 20
+    yield "seeds exploration a5", [partial(Exploration, a5.seeds, a5.truncated)] * 4
     yield "seeds relations a5", [lambda: Exploration(a5.seeds, a5.truncated).relations()] * 4
     yield "seeds explore a6", [partial(explore, linear_seed(6))] * 4
     cyclic = linear_seed(6)

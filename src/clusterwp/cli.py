@@ -20,7 +20,6 @@ import os
 import sys
 
 from .catalog import CATALOG_KEYS, catalog
-from .exact import format_gaussian
 from .forms import (
     check_invariance,
     emit_form_file,
@@ -34,6 +33,7 @@ from .forms import (
 from .regularity import (
     AlgebraPoint,
     HypothesisViolated,
+    _emit_point,
     constant_vanishing_oracle,
     deep_witness,
     find_regularizing_seed,
@@ -100,11 +100,6 @@ def _load_point(path, known, entry=None):
 
 def _cluster_names(exploration):
     return {name for s in exploration.seeds for name in s.names}
-
-
-def _emit_point(point):
-    return "".join(f"{name} = {format_gaussian(value)}\n"
-                   for name, value in point.assignment.items())
 
 
 def _cycle_text(cycle):

@@ -135,11 +135,6 @@ def _dlog_coefficients(w, names, table):
                 table, {names[i]: -1, names[j]: -1}, w[i][j]).as_rational()
 
 
-def _wp_coefficients(seed, table):
-    """The chart form's terms, over a ``table`` holding the seed's names."""
-    return _dlog_coefficients(_log_matrix(seed), seed.names, table)
-
-
 def _dlog_form(chart, w):
     """The ChartForm on ``chart`` with dlog matrix ``w``."""
     return ChartForm(chart, dict(_dlog_coefficients(w, chart.names, chart.chart())))

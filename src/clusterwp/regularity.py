@@ -11,23 +11,23 @@ whenever no two vanishing variables are exchange-adjacent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
-from .exact import _ONE, GaussianParseError, GaussianRational, parse_gaussian, rank
-from .forms import SymbolicForm, _wp_coefficients
+from .exact import (_ONE, GaussianParseError, GaussianRational, format_gaussian,
+                    parse_gaussian, rank)
+from .forms import SymbolicForm, _dlog_coefficients, _log_matrix
 from .laurent import LaurentPoly, UnboundVariable, VarTable, _check_name
 from .seeds import (
     InputFileError,
     NotFoundWithinBudget,
     Presentation,
     Seed,
+    _budgeted,
     _chart,
     _content_lines,
     _exchange_monomials,
     _exchange_partner,
     _exchange_sum,
     _partner_names,
-    _seed_budget,
     _walk,
     _walk_namer,
     prime_namer,
@@ -318,7 +318,7 @@ def regularize_at(seed, pattern, namer=prime_namer):
         terms += [(LaurentPoly.monomial(sym_table, {**multiplier, partner: 1, nm: -1}, -e),
                    name_i, nm) for nm, e in neg]
     terms += [(c, seed.names[a - 1], seed.names[b - 1])
-              for (a, b), c in _wp_coefficients(seed, sym_table)
+              for (a, b), c in _dlog_coefficients(_log_matrix(seed), seed.names, sym_table)
               if {a, b}.isdisjoint(pattern.indices)]
 
     form = SymbolicForm(seed, extras, terms)
@@ -353,8 +353,7 @@ def find_regularizing_seed(start, v_oracle, max_depth=3, max_seeds=1000,
     ``_walk_namer(start, namer)`` names the walk's variables, as ``explore``
     does, and the found form's generators, so a name means one variable."""
     name = _walk_namer(start, namer)
-    for s, _ in islice(_walk(start, max_depth, name),
-                       _seed_budget(max_seeds, max_depth)):
+    for s, _ in _budgeted(_walk(start, max_depth, name), max_seeds, max_depth):
         try:
             return s, regularize_at(s, v_oracle(s), namer=name)
         except HypothesisViolated:
@@ -450,3 +449,9 @@ def parse_point_file(text, filename="<input>"):
                 filename, no,
                 f"{literal!r} is not a Gaussian rational literal") from None
     return values
+
+
+def _emit_point(point):
+    """The point file of ``point``'s assignment; parsing it gives it back."""
+    return "".join(f"{name} = {format_gaussian(value)}\n"
+                   for name, value in point.assignment.items())

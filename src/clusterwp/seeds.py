@@ -22,12 +22,10 @@ read of it, is ``_chart(seed)``: its matrix and names.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
-from itertools import count, islice
 from math import gcd, lcm, prod
 
 from .laurent import LaurentPoly, NotLaurent, VarTable, _RESERVED, _check_name
@@ -389,20 +387,20 @@ def _walk(seed, max_depth, name=None):
             yield t, depth + 1
 
 
-def _seed_budget(max_seeds, max_depth):
-    """Clusters a walk keeps: ``max_seeds``, but always the start, and at
-    most ``sys.maxsize``, the most ``islice`` takes."""
+def _budgeted(walk, max_seeds, max_depth):
+    """The first ``max_seeds`` clusters of ``walk``, but always the start; a
+    negative budget is a ValueError."""
     if min(max_seeds, max_depth) < 0:
         raise ValueError(
             f"negative budget: max_seeds={max_seeds}, max_depth={max_depth}")
-    return min(max(max_seeds, 1), sys.maxsize)
+    return (step for _, step in zip(range(max(max_seeds, 1)), walk))
 
 
 def find_acyclic_seed(seed, max_seeds=1000, max_depth=16):
     """Breadth-first search of the mutation graph for an acyclic seed among
     the first max_seeds distinct clusters in breadth-first order, none
     deeper than max_depth; raises NotFoundWithinBudget if none is."""
-    for s, _ in islice(_walk(seed, max_depth), _seed_budget(max_seeds, max_depth)):
+    for s, _ in _budgeted(_walk(seed, max_depth), max_seeds, max_depth):
         if is_acyclic(s.matrix):
             return s
     raise NotFoundWithinBudget(
@@ -548,8 +546,7 @@ class Exploration:
                 entries.append(entry)
         entries = iter(entries)
         rels = []
-        binomials = {}  # (P+, P-) as sorted factors, both ways round -> number
-        numbers = count()
+        binomials = {}  # {P+, P-} as factor sets -> number
         for idx, s in enumerate(self.seeds):
             names = s.names
             for k in range(1, s.matrix.m + 1):
@@ -567,10 +564,8 @@ class Exploration:
                         pos, neg = neg, pos
                 else:
                     pos, neg = _exchange_monomials(s.matrix.rows[k - 1], names)
-                    key = (tuple(sorted(pos)), tuple(sorted(neg)))
-                    number = binomials.get(key)
-                    if number is None:
-                        number = binomials[key] = binomials[key[::-1]] = next(numbers)
+                    number = binomials.setdefault(
+                        frozenset((frozenset(pos), frozenset(neg))), len(binomials))
                     if edge is None:
                         entry[1] = (k, var, pos, neg, number)
                 rels.append(ExchangeRelation(idx, k, var, partner, pos, neg, number))
@@ -604,7 +599,7 @@ def explore(seed, max_seeds=1000, max_depth=16, namer=prime_namer):
     unexpanded.
     """
     walk = _walk(seed, max_depth, _walk_namer(seed, namer))
-    kept = list(islice(walk, _seed_budget(max_seeds, max_depth)))
+    kept = list(_budgeted(walk, max_seeds, max_depth))
     truncated = (next(walk, None) is not None
                  or any(depth == max_depth for _, depth in kept))
     return Exploration([s for s, _ in kept], truncated)
