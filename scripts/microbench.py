@@ -17,8 +17,7 @@ chart, ``verify_point`` and ``deep_witness`` on the point it propagates
 to, and ``tangent_dimension`` on the acyclic presentation of that first
 chart at the same point.  ``seeds exploration a5`` builds a fresh
 ``Exploration`` of the A_5 seeds, and ``seeds relations a5`` builds one
-and reads its ``relations()`` once, the first read that forms them: the
-difference of the two is the cost of the relations alone.
+and reads its ``relations()`` once, the first read that forms them.
 ``seeds explore a6`` walks the whole exchange graph of the A_6 path seed
 (429 clusters) and reads no expansion, and
 ``seeds acyclic-search a6`` searches from that seed mutated at 5, 4, 3, 4,

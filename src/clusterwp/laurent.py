@@ -368,10 +368,9 @@ class LaurentPoly:
         UnboundVariable, for the first variable in table order that occurs
         and has no value, is raised before any other error."""
         names = self.table.names
-        if not values.keys() >= self.table._index.keys():
-            for k, name in enumerate(names):
-                if name not in values and any(exps[k] for exps in self.terms):
-                    raise UnboundVariable(f"no value for variable {name!r}")
+        for k, name in enumerate(names):
+            if name not in values and any(exps[k] for exps in self.terms):
+                raise UnboundVariable(f"no value for variable {name!r}")
         total = GaussianRational.of(0)
         for exps, c in self.terms.items():
             term = c
