@@ -58,23 +58,24 @@ class MutationArithmeticError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExchangeMatrix:
-    """Integer m x n exchange matrix; validated skew-symmetrizable on the
-    mutable m x m block at construction."""
+    """Integer m x n exchange matrix, a tuple of m tuples of n ints, validated
+    skew-symmetrizable on the mutable m x m block at construction."""
 
     m: int
     n: int
     rows: tuple
 
     def __post_init__(self):
-        if not (1 <= self.m <= self.n):
-            raise ValueError(f"need 1 <= mutable <= rank, got {self.m}, {self.n}")
-        if len(self.rows) != self.m:
-            raise ValueError(f"expected {self.m} rows, got {len(self.rows)}")
-        for row in self.rows:
-            if len(row) != self.n:
-                raise ValueError(f"expected {self.n} entries per row, got {len(row)}")
+        m, n, rows = self.m, self.n, self.rows
+        if not (type(m) is type(n) is int and 1 <= m <= n):
+            raise ValueError(f"need integers 1 <= mutable <= rank, got {m!r}, {n!r}")
+        if type(rows) is not tuple or len(rows) != m:
+            raise ValueError(f"expected a tuple of {m} rows, got {rows!r}")
+        for row in rows:
+            if type(row) is not tuple or len(row) != n:
+                raise ValueError(f"expected a tuple of {n} entries per row, got {row!r}")
             for x in row:
-                if not isinstance(x, int):
+                if type(x) is not int:
                     raise ValueError(f"matrix entries must be integers, got {x!r}")
         find_skew_symmetrizer(self)
 
@@ -83,14 +84,6 @@ class ExchangeMatrix:
         if not (1 <= i <= self.m and 1 <= j <= self.n):
             raise IndexError(f"B_{i}{j} out of range for {self.m}x{self.n}")
         return self.rows[i - 1][j - 1]
-
-
-def _unchecked(cls, *values):
-    """An instance of the frozen dataclass ``cls`` with ``values`` as its
-    fields in order, built past ``__init__`` and its checks."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return obj
 
 
 def find_skew_symmetrizer(matrix):
@@ -152,9 +145,14 @@ def mutate_matrix(matrix, k):
             row[kk] = -bik
             row = tuple(row)
         out.append(row)
-    # built without validation: mutation keeps the skew-symmetrizer of a
-    # validated matrix (Fomin-Zelevinsky, *Cluster algebras I*, Prop. 4.5)
-    return _unchecked(ExchangeMatrix, matrix.m, matrix.n, tuple(out))
+    # the one build past ExchangeMatrix's checks: mutation keeps the
+    # skew-symmetrizer of a validated matrix (Fomin-Zelevinsky, *Cluster
+    # algebras I*, Prop. 4.5); fields set in order, as __init__ does, keep
+    # the constructor's attribute layout and its fast reads
+    mutated = object.__new__(ExchangeMatrix)
+    for field, value in zip(("m", "n", "rows"), (matrix.m, matrix.n, tuple(out))):
+        object.__setattr__(mutated, field, value)
+    return mutated
 
 
 def _mutated_row(row, pivot, bik):
@@ -253,7 +251,8 @@ class Seed:
     """Exchange matrix plus labelled variables, with the g-vectors of all
     ``n`` variables (frozen ones keep their unit vectors) and the c-vectors
     of the ``m`` mutable slots, both relative to principal coefficients at
-    the root seed where they are the identity."""
+    the root seed where they are the identity.  ``Seed(...)`` trusts its
+    fields; ``Seed.initial`` is the gate for names and matrices from outside."""
 
     matrix: ExchangeMatrix
     names: tuple
@@ -305,8 +304,8 @@ class Seed:
             elif row[kk]:
                 c = tuple(_mutated_row(c, pivot, row[kk]))
             cvectors.append(c)
-        return _unchecked(Seed, matrix, names, self.gvectors[:kk] + (self._partner_gvector(k),)
-                          + self.gvectors[k:], tuple(cvectors))
+        return Seed(matrix, names, self.gvectors[:kk] + (self._partner_gvector(k),)
+                    + self.gvectors[k:], tuple(cvectors))
 
     def cluster_key(self):
         """Order-free identity of the cluster: its sorted g-vectors."""
@@ -381,8 +380,8 @@ def _walk(seed, max_depth, name=None):
                 continue
             seen.add(key)
             new_name = name(s, k, t.gvectors[k - 1])
-            t = _unchecked(Seed, t.matrix, t.names[:k - 1] + (new_name,) + t.names[k:],
-                           t.gvectors, t.cvectors)
+            t = Seed(t.matrix, t.names[:k - 1] + (new_name,) + t.names[k:],
+                     t.gvectors, t.cvectors)
             queue.append((t, depth + 1, key))
             yield t, depth + 1
 

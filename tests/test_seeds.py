@@ -132,6 +132,17 @@ def test_not_skew_symmetrizable(rows, pair):
     assert exc.value.pair == pair
 
 
+@pytest.mark.parametrize("m,n,rows,match", [
+    (1, 2, ((0, True),), "entries must be integers, got True"),
+    (True, 2, ((0, 1),), "need integers"),
+    (1, 2, [(0, 1)], "a tuple of 1 rows"),
+    (1, 2, ([0, 1],), "a tuple of 2 entries"),
+], ids=["bool-entry", "bool-m", "list-rows", "list-row"])
+def test_exchange_matrix_takes_exact_ints_in_tuples(m, n, rows, match):
+    with pytest.raises(ValueError, match=match):
+        ExchangeMatrix(m, n, rows)
+
+
 def test_symmetrizer_ratio_inconsistency():
     rows = ((0, 1, -1), (-2, 0, 1), (2, -2, 0))
     with pytest.raises(NotSkewSymmetrizable):
@@ -570,14 +581,6 @@ def test_mutated_refuses_a_bad_new_name(name, message):
     assert str(exc.value) == message
 
 
-def test_mutated_keeps_the_old_name_and_round_trips():
-    a3 = catalog("a3").seed
-    assert a3.mutated(1, "x13").names == ("x13", "x14", "x15")
-    renamed = a3.mutated(1, "y")
-    again = parse_seed_file(emit_seed_file(renamed))
-    assert (again.matrix, again.names) == (renamed.matrix, renamed.names)
-
-
 def test_explore_refuses_a_namer_that_gives_a_bad_name():
     with pytest.raises(ValueError, match="invalid variable name: 'x y'"):
         explore(catalog("a3").seed, max_seeds=5, namer=lambda s, k: "x y")
@@ -879,6 +882,20 @@ def skew_symmetrizable_seeds(draw):
 @given(skew_symmetrizable_seeds())
 def test_g_vector_walk_matches_expansion_walk_random(seed):
     assert_walks_agree(seed, max_depth=3, limit=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(skew_symmetrizable_seeds(), st.lists(st.integers(0, 2), max_size=4))
+def test_mutated_keeps_the_old_name_and_round_trips(seed, directions):
+    a3 = catalog("a3").seed
+    assert a3.mutated(1, "x13").names == ("x13", "x14", "x15")
+    for k in directions:
+        seed = seed.mutated(k % seed.matrix.m + 1)
+    for s in (a3.mutated(1, "y"), seed):
+        text = emit_seed_file(s)
+        again = parse_seed_file(text)
+        assert (again.matrix, again.names) == (s.matrix, s.names)
+        assert emit_seed_file(again) == text
 
 
 def reference_walk(seed, max_depth, name=None):
