@@ -31,6 +31,7 @@ from .forms import (
     wp_form,
 )
 from .regularity import (
+    SEARCH_DEPTH,
     AlgebraPoint,
     HypothesisViolated,
     _emit_point,
@@ -177,12 +178,7 @@ def _cmd_acyclic(args):
             return 0
         print(f"cycle: {_cycle_text(cycle)}")
         return 1
-    try:
-        found = find_acyclic_seed(seed, max_seeds=args.search)
-    except NotFoundWithinBudget as exc:
-        print(f"no acyclic seed found: {exc}")
-        return 1
-    sys.stdout.write(emit_seed_file(found))
+    sys.stdout.write(emit_seed_file(find_acyclic_seed(seed, max_seeds=args.search)))
     return 0
 
 
@@ -243,7 +239,8 @@ def _cmd_regularize(args):
             _parse_index_list(args.pattern, "--pattern"))
     else:
         # the names of every cluster it may visit, the start's alone without --search
-        known = _cluster_names(explore(seed, max_seeds=args.search or 0, namer=namer))
+        known = _cluster_names(explore(seed, max_seeds=args.search or 0,
+                                       max_depth=SEARCH_DEPTH, namer=namer))
         oracle = point_vanishing_oracle(AlgebraPoint(_load_point(args.point, known, entry)))
     try:
         if args.search is None:
@@ -255,9 +252,6 @@ def _cmd_regularize(args):
         a, b = exc.pair
         print(f"hypothesis violated: vanishing variables {a} and {b} "
               f"are exchange-adjacent (B_{a}{b} = {seed.matrix.b(a, b)})")
-        return 1
-    except NotFoundWithinBudget as exc:
-        print(f"no regularizing seed found: {exc}")
         return 1
     except ValueError as exc:   # a pattern or rewrite the chart does not admit
         raise _UsageError(str(exc)) from None
@@ -440,6 +434,9 @@ def _run(args):
         return args.func(args)
     except NotAcyclic as exc:   # present and tangent need an acyclic seed
         print(f"not acyclic: cycle {_cycle_text(exc.cycle)}")
+        return 1
+    except NotFoundWithinBudget as exc:     # acyclic and regularize --search
+        print(f"no {exc.what} found: {exc}")
         return 1
     except (InputFileError, _UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,29 +33,17 @@ class ExprError(ValueError):
         self.col = col
 
 
+# whitespace is what no alternative matches; any other character is `bad`
 _TOKEN_RE = _re.compile(
-    rf"\s*(?:(?P<int>[0-9]+)|(?P<ident>{_IDENT_RE.pattern})|(?P<op>[-+*/^()]))")
+    rf"(?P<int>[0-9]+)|(?P<ident>{_IDENT_RE.pattern})|(?P<op>[-+*/^()])|(?P<bad>\S)")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            col = len(text) - len(stripped) + 1
-            raise ExprError(f"unexpected character {stripped[0]!r}", col)
-        col = m.start(m.lastgroup) + 1
-        if m.group("int") is not None:
-            tokens.append(("int", m.group("int"), col))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), col))
-        else:
-            tokens.append(("op", m.group("op"), col))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ExprError(f"unexpected character {m.group()!r}", m.start() + 1)
+        tokens.append((m.lastgroup, m.group(), m.start() + 1))
     return tokens
 
 

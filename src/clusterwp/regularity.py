@@ -344,7 +344,11 @@ def point_vanishing_oracle(point):
     return lambda seed: vanishing_pattern(point, seed)
 
 
-def find_regularizing_seed(start, v_oracle, max_depth=3, max_seeds=1000,
+# a regularizing search's default depth; `regularize --search` checks point names to it
+SEARCH_DEPTH = 3
+
+
+def find_regularizing_seed(start, v_oracle, max_depth=SEARCH_DEPTH, max_seeds=1000,
                            namer=prime_namer):
     """Breadth-first search of the mutation graph for a seed whose chart
     admits the regularizing rewrite for its oracle-supplied vanishing set,
@@ -358,8 +362,7 @@ def find_regularizing_seed(start, v_oracle, max_depth=3, max_seeds=1000,
             return s, regularize_at(s, v_oracle(s), namer=name)
         except HypothesisViolated:
             pass
-    raise NotFoundWithinBudget(
-        f"no regularizing seed within {max_seeds} seeds at depth <= {max_depth}")
+    raise NotFoundWithinBudget("regularizing seed", max_seeds, max_depth)
 
 
 def tangent_dimension(presentation, point):

@@ -49,7 +49,11 @@ class NotAcyclic(ValueError):
 
 
 class NotFoundWithinBudget(RuntimeError):
-    pass
+    """No ``what`` among a search's first max_seeds clusters to max_depth."""
+
+    def __init__(self, what, max_seeds, max_depth):
+        self.what = what
+        super().__init__(f"no {what} within {max_seeds} seeds at depth <= {max_depth}")
 
 
 class MutationArithmeticError(RuntimeError):
@@ -402,9 +406,7 @@ def find_acyclic_seed(seed, max_seeds=1000, max_depth=16):
     for s, _ in _budgeted(_walk(seed, max_depth), max_seeds, max_depth):
         if is_acyclic(s.matrix):
             return s
-    raise NotFoundWithinBudget(
-        f"no acyclic seed within {max_seeds} seeds at depth <= {max_depth}"
-    )
+    raise NotFoundWithinBudget("acyclic seed", max_seeds, max_depth)
 
 
 @dataclass(frozen=True)
@@ -482,6 +484,8 @@ class Exploration:
 
     def __init__(self, seeds, truncated):
         self.seeds = tuple(seeds)
+        if not self.seeds:
+            raise ValueError("an exploration needs a seed")
         self.truncated = truncated
         root = self.seeds[0]
         self.frozen_names = root.names[root.matrix.m:]

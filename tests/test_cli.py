@@ -198,8 +198,8 @@ def test_acyclic_reports_cycle(capsys):
 
 def test_acyclic_search_fails_on_markov(capsys):
     rc, out, _ = run(capsys, "acyclic", "markov", "--search", "30")
-    assert rc == 1
-    assert out.startswith("no acyclic seed found")
+    assert (rc, out) == (
+        1, "no acyclic seed found: no acyclic seed within 30 seeds at depth <= 16\n")
 
 
 def test_acyclic_search_zero_budget(capsys):
@@ -502,6 +502,21 @@ def test_regularize_search_knows_the_names_its_walk_gives(capsys, tmp_path):
     assert (rc, err) == (0, "") and "\nform:\ngen x13' = " in out
 
 
+def test_regularize_search_names_are_checked_to_its_depth(capsys, tmp_path):
+    # the name check walks what the search may visit, none deeper than 3:
+    # a huge budget stays cheap, and a name first met at depth 4 is unknown
+    point = tmp_path / "p.point"
+    point.write_text("x1 = 1\nx2 = 1\nx3 = 1\n")
+    argv = ["regularize", "markov", "--point", str(point), "--search"]
+    rc, out, err = run(capsys, *argv, "50")
+    assert (rc, err) == (0, "") and out.startswith("rank 3\n")
+    assert run(capsys, *argv, HUGE) == (rc, out, err)
+    with open(point, "a") as handle:
+        handle.write("x1'''''''' = 1\n")
+    assert run(capsys, *argv, "50") == (
+        2, "", f"error: {point}: unknown variable x1''''''''\n")
+
+
 def test_regularize_single_index_uses_namer(capsys):
     rc, out, _ = run(capsys, "regularize", "a3", "--pattern", "2")
     assert rc == 0
@@ -525,8 +540,8 @@ def test_regularize_adjacent_vanishing_fails(capsys):
 def test_regularize_search_exhausts_on_markov(capsys):
     rc, out, _ = run(capsys, "regularize", "markov",
                      "--pattern", "1,2,3", "--search", "40")
-    assert rc == 1
-    assert out.startswith("no regularizing seed found")
+    assert (rc, out) == (1, "no regularizing seed found: "
+                            "no regularizing seed within 40 seeds at depth <= 3\n")
 
 
 def test_regularize_search_immediate_hit_emits_seed_and_form(capsys):

@@ -3,18 +3,22 @@
 The parser whose every value was a RationalFn stays here as
 ``reference_parse_expression``, the oracle of the parser that keeps its
 values Laurent until a division by more than one term: of its num/den term
-lists in dict order and of its error types and messages.
+lists in dict order and of its error types and messages.  The tokenizer
+that matched whitespace in its regex and again with ``str.lstrip`` stays
+as ``reference_tokenize``, the oracle of the one-scan ``_tokenize``.
 """
 
+import re
+import string
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterwp.exact import GaussianRational
 from clusterwp.exprs import ExprError, _Parser, _tokenize, parse_expression
-from clusterwp.laurent import LaurentError, LaurentPoly, RationalFn, VarTable
+from clusterwp.laurent import _IDENT_RE, LaurentError, LaurentPoly, RationalFn, VarTable
 
 G = GaussianRational
 T = VarTable(("x0", "x1"))
@@ -223,3 +227,61 @@ def test_parse_matches_the_all_rational_reference(text):
 @settings(max_examples=300, deadline=None)
 def test_random_expressions_parse_as_the_all_rational_reference(text):
     assert _outcome(parse_expression, text) == _outcome(reference_parse_expression, text)
+
+
+# ---------------------------------------------------------------------------
+# the two-pass tokenizer, as the oracle of the one-scan one
+# ---------------------------------------------------------------------------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    rf"\s*(?:(?P<int>[0-9]+)|(?P<ident>{_IDENT_RE.pattern})|(?P<op>[-+*/^()]))")
+
+
+def reference_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not m or m.end() == m.start():
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            col = len(text) - len(stripped) + 1
+            raise ExprError(f"unexpected character {stripped[0]!r}", col)
+        col = m.start(m.lastgroup) + 1
+        if m.group("int") is not None:
+            tokens.append(("int", m.group("int"), col))
+        elif m.group("ident") is not None:
+            tokens.append(("ident", m.group("ident"), col))
+        else:
+            tokens.append(("op", m.group("op"), col))
+        pos = m.end()
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ExprError as exc:
+        return exc.message, exc.col
+
+
+# token characters, operators, ASCII and Unicode whitespace (U+0085 NEL,
+# U+00A0 NBSP, U+2003 EM SPACE), and characters no token takes, among them
+# a non-ASCII letter and a non-ASCII digit
+_TOKEN_TEXT = st.text(
+    string.digits + string.ascii_letters + "_'" + "+-*/^()"
+    + " \t\n\u0085\u00a0\u2003" + ".$\u00e9\u0662", max_size=30)
+
+
+@given(_TOKEN_TEXT)
+@example("")
+@example(" \t\n")
+@example("x0 * x1'")
+@example("2i")
+@example(" \u00a0x0 .5")
+@example("x0\u2003$")
+@example("\u00e9x\u0662")
+@settings(max_examples=400, deadline=None)
+def test_tokenize_matches_the_two_pass_reference(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(reference_tokenize, text)

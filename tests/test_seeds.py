@@ -319,6 +319,12 @@ def test_find_acyclic_seed_markov_budget():
         find_acyclic_seed(markov_seed(), max_seeds=50)
 
 
+def test_not_found_names_its_noun_and_budget():
+    exc = NotFoundWithinBudget("acyclic seed", 50, 16)
+    assert str(exc) == "no acyclic seed within 50 seeds at depth <= 16"
+    assert exc.what == "acyclic seed"
+
+
 # Two oriented triangles sharing vertex 3 (mutation type A_5): the first
 # acyclic seed is the ninth distinct cluster in breadth-first order, at
 # depth 2.
@@ -550,6 +556,11 @@ def test_exploration_name_consistency():
             key = e.variables[name].canonical_key()
             assert seen.setdefault(key, name) == name
     assert len(seen) == 9
+
+
+def test_exploration_needs_a_seed():
+    with pytest.raises(ValueError, match="^an exploration needs a seed$"):
+        Exploration([], False)
 
 
 def test_exploration_rejects_a_seed_two_mutations_away():
