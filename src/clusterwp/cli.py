@@ -45,6 +45,8 @@ from .regularity import (
     tangent_dimension,
 )
 from .seeds import (
+    MAX_DEPTH,
+    MAX_SEEDS,
     InputFileError,
     NotAcyclic,
     NotFoundWithinBudget,
@@ -59,7 +61,14 @@ from .seeds import (
 
 
 class _UsageError(Exception):
-    """Bad invocation or bad input discovered after argparse."""
+    """Bad invocation or bad input: exit 2 with one line on stderr."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser, and its subparsers, whose errors are ``_UsageError``."""
+
+    def error(self, message):
+        raise _UsageError(message)
 
 
 def _read_file(path):
@@ -68,6 +77,9 @@ def _read_file(path):
             return handle.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read {path}: not UTF-8 text "
+                          f"({exc.reason} at offset {exc.start})") from None
 
 
 def _resolve_seed(token):
@@ -78,9 +90,8 @@ def _resolve_seed(token):
         entry = catalog(token)
         return entry.seed, entry.namer, entry
     try:
-        with open(token, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError:
+        text = _read_file(token)
+    except _UsageError:
         raise _UsageError(
             f"{token!r} is not a catalog key ({', '.join(CATALOG_KEYS)}) "
             f"and not a readable seed file") from None
@@ -322,7 +333,7 @@ def _cmd_deep(args):
 
 @functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clusterwp",
         description="Exact mutation, 2-form, and regularity computations "
                     "on cluster charts.")
@@ -344,8 +355,8 @@ def _build_parser():
 
     p = sub.add_parser("explore", help="breadth-first mutation census")
     p.add_argument("seed")
-    p.add_argument("--max-seeds", type=int, default=1000)
-    p.add_argument("--max-depth", type=int, default=16)
+    p.add_argument("--max-seeds", type=int, default=MAX_SEEDS)
+    p.add_argument("--max-depth", type=int, default=MAX_DEPTH)
     p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("acyclic",
@@ -415,9 +426,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
-        rc = _run(args)
+        rc = _run(argv)
         if sys.stdout is not None:
             sys.stdout.flush()  # buffered output to a closed pipe fails here
         return rc
@@ -426,8 +436,9 @@ def main(argv=None):
         return 141
 
 
-def _run(args):
+def _run(argv):
     try:
+        args = _build_parser().parse_args(argv)
         for budget in ("max_seeds", "max_depth", "search"):
             if getattr(args, budget, None) is not None and getattr(args, budget) < 0:
                 raise _UsageError(f"--{budget.replace('_', '-')} must not be negative")

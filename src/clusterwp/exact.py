@@ -16,14 +16,6 @@ import re as _re
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = [
-    "GaussianParseError",
-    "GaussianRational",
-    "format_gaussian",
-    "parse_gaussian",
-    "rank",
-]
-
 
 class GaussianParseError(ValueError):
     """A token does not match the Gaussian-rational literal grammar."""

@@ -21,8 +21,6 @@ import re as _re
 from clusterwp.exact import GaussianRational
 from clusterwp.laurent import LaurentPoly, RationalFn, VarTable, _IDENT_RE
 
-__all__ = ["ExprError", "parse_expression"]
-
 
 class ExprError(ValueError):
     """Syntax or scope error in an expression; carries a 1-based column."""

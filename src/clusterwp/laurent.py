@@ -44,20 +44,6 @@ from typing import Iterator, Mapping
 from clusterwp.exact import (
     _ONE, GaussianRational, _coerce, _gaussian_integers, _part_strs, _power, _reduced)
 
-__all__ = [
-    "DenominatorZero",
-    "EvaluationError",
-    "Inhomogeneous",
-    "LaurentError",
-    "LaurentPoly",
-    "NegativePowerOfZero",
-    "NotDivisible",
-    "NotLaurent",
-    "RationalFn",
-    "UnboundVariable",
-    "VarTable",
-]
-
 
 class LaurentError(Exception):
     """Base class for algebraic failure modes in this module."""

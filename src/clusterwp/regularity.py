@@ -17,6 +17,7 @@ from .exact import (_ONE, GaussianParseError, GaussianRational, format_gaussian,
 from .forms import SymbolicForm, _dlog_coefficients, _log_matrix
 from .laurent import LaurentPoly, UnboundVariable, VarTable, _check_name
 from .seeds import (
+    MAX_SEEDS,
     InputFileError,
     NotFoundWithinBudget,
     Presentation,
@@ -348,7 +349,7 @@ def point_vanishing_oracle(point):
 SEARCH_DEPTH = 3
 
 
-def find_regularizing_seed(start, v_oracle, max_depth=SEARCH_DEPTH, max_seeds=1000,
+def find_regularizing_seed(start, v_oracle, max_depth=SEARCH_DEPTH, max_seeds=MAX_SEEDS,
                            namer=prime_namer):
     """Breadth-first search of the mutation graph for a seed whose chart
     admits the regularizing rewrite for its oracle-supplied vanishing set,

@@ -390,6 +390,10 @@ def _walk(seed, max_depth, name=None):
             yield t, depth + 1
 
 
+# a walk's default budget: clusters kept, and how deep it goes
+MAX_SEEDS, MAX_DEPTH = 1000, 16
+
+
 def _budgeted(walk, max_seeds, max_depth):
     """The first ``max_seeds`` clusters of ``walk``, but always the start; a
     negative budget is a ValueError."""
@@ -399,7 +403,7 @@ def _budgeted(walk, max_seeds, max_depth):
     return (step for _, step in zip(range(max(max_seeds, 1)), walk))
 
 
-def find_acyclic_seed(seed, max_seeds=1000, max_depth=16):
+def find_acyclic_seed(seed, max_seeds=MAX_SEEDS, max_depth=MAX_DEPTH):
     """Breadth-first search of the mutation graph for an acyclic seed among
     the first max_seeds distinct clusters in breadth-first order, none
     deeper than max_depth; raises NotFoundWithinBudget if none is."""
@@ -591,7 +595,7 @@ class Exploration:
         return firsts, numbers
 
 
-def explore(seed, max_seeds=1000, max_depth=16, namer=prime_namer):
+def explore(seed, max_seeds=MAX_SEEDS, max_depth=MAX_DEPTH, namer=prime_namer):
     """Breadth-first exploration of the mutation graph from a seed.
 
     Keeps the first max_seeds distinct clusters in breadth-first order,

@@ -9,6 +9,7 @@ CLI tests mostly assert plumbing, exit codes, and stable formatting.
 """
 
 import contextlib
+import inspect
 import io
 import itertools
 import os
@@ -23,8 +24,9 @@ from hypothesis import strategies as st
 
 from clusterwp import seeds as seeds_module
 from clusterwp.catalog import catalog
-from clusterwp.cli import main
+from clusterwp.cli import _build_parser, main
 from clusterwp.forms import parse_form_file, reduce_to_chart, wp_form
+from clusterwp.regularity import find_regularizing_seed
 from clusterwp.seeds import emit_seed_file, explore, is_acyclic, parse_seed_file
 
 
@@ -35,6 +37,15 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def assert_usage_error(capsys, *argv):
+    """``main`` returns 2 with nothing on stdout and one ``error: `` line on
+    stderr, which it returns."""
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, ""), argv
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+    return err
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +153,7 @@ def test_explore_a3_census(capsys):
 
 
 def test_failed_parse_leaves_the_parser_usable(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["explore", "a3", "--max-seeds", "x"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert_usage_error(capsys, "explore", "a3", "--max-seeds", "x")
     rc, out, err = run(capsys, "explore", "a3")
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                           "explore-a3.out")
@@ -610,10 +618,8 @@ def test_regularize_rejects_non_skew_symmetric_vanishing_rows(capsys, tmp_path, 
                    "with their columns; B_12 = 1 but B_21 = -2\n")
 
 
-def test_regularize_requires_pattern_or_point():
-    with pytest.raises(SystemExit) as exc:
-        main(["regularize", "a3"])
-    assert exc.value.code == 2
+def test_regularize_requires_pattern_or_point(capsys):
+    assert_usage_error(capsys, "regularize", "a3")
 
 
 # ---------------------------------------------------------------------------
@@ -844,10 +850,66 @@ def test_deep_inconsistent_point_rejected(capsys, tmp_path):
 # shared plumbing
 
 
-def test_missing_subcommand_is_usage_error():
+def test_missing_subcommand_is_usage_error(capsys):
+    assert_usage_error(capsys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "error: argument command: invalid choice: 'bogus' "),
+    (["explore", "a3", "--max-seeds", "x"],
+     "error: argument --max-seeds: invalid int value: 'x'\n"),
+    (["explore", "a3", "--bogus"], "error: unrecognized arguments: --bogus\n"),
+    (["invariance", "a3"], "error: the following arguments are required: --depth\n"),
+    (["regularize", "a3", "--point", "F", "--pattern", "1"],
+     "error: argument --pattern: not allowed with argument --point\n"),
+    # argparse reads -1,2,0 as an option; --weights=-1,2,0 is the way to write it
+    (["grade", "a3", "--weights", "-1,2,0"],
+     "error: argument --weights: expected one argument\n"),
+], ids=["subcommand", "int", "option", "required", "exclusive", "dash-value"])
+def test_bad_invocations_are_one_line_usage_errors(capsys, argv, message):
+    assert assert_usage_error(capsys, *argv).startswith(message)
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: clusterwp")
+
+
+def test_walk_budget_defaults_have_one_owner():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    budget = (seeds_module.MAX_SEEDS, seeds_module.MAX_DEPTH)
+    for fn in (seeds_module.explore, seeds_module.find_acyclic_seed):
+        assert (default(fn, "max_seeds"), default(fn, "max_depth")) == budget, fn
+    assert default(find_regularizing_seed, "max_seeds") == seeds_module.MAX_SEEDS
+    args = _build_parser().parse_args(["explore", "a3"])
+    assert (args.max_seeds, args.max_depth) == budget
+
+
+NOT_UTF8 = b"\xff\xfe rank 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["wp", "F"],
+    ["equal", "sl2", "F", "F"],
+    ["tangent", "sl2", "--point", "F"],
+    ["deep", "a3", "--point", "F"],
+    ["regularize", "a3", "--point", "F"],
+], ids=lambda argv: argv[0])
+def test_non_utf8_input_file_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(NOT_UTF8)
+    argv = [str(path) if a == "F" else a for a in argv]
+    err = assert_usage_error(capsys, *argv)
+    if argv[0] == "wp":
+        assert err == (f"error: {str(path)!r} is not a catalog key "
+                       "(sl2, a3, affine-a11, markov) and not a readable seed file\n")
+    else:
+        assert err == (f"error: cannot read {path}: not UTF-8 text "
+                       "(invalid start byte at offset 0)\n")
 
 
 def test_seed_argument_resolution_failure(capsys):
@@ -1087,3 +1149,22 @@ def test_cli_exit_code_contract_fuzz(text):
                 assert len(err.getvalue().splitlines()) == 1, (argv, text)
             if rc == 0 and command[0] == "mutate":
                 parse_seed_file(out.getvalue())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary(max_size=80))
+@example(NOT_UTF8)
+@example(b"rank 1\nmutable 1\nnames \xc3\nrow 0\n")
+def test_cli_exit_code_contract_on_arbitrary_bytes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.seed")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        for command in FUZZ_COMMANDS:
+            argv = [path if a == "SEED" else a for a in command]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+            assert rc in (0, 1, 2), (argv, data)
+            if rc == 2:
+                assert len(err.getvalue().splitlines()) == 1, (argv, data)
