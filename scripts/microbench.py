@@ -23,8 +23,12 @@ and reads its ``relations()`` once, the first read that forms them.
 ``seeds acyclic-search a6`` searches from that seed mutated at 5, 4, 3, 4,
 a cyclic seed, for an acyclic one (24 clusters walked).  ``exact rank a8`` is
 the rank of the Jacobian of the A_8 acyclic presentation at one fixed Q(i)
-point of the variety, and ``regularity tangent_dimension a8`` the tangent
-dimension there, the largest presentation the ``points`` benchmark times.
+point of the variety, ``laurent evaluate a8-jacobian`` evaluates each
+nonzero entry of that Jacobian, a partial of a relation, at the point, and
+``regularity tangent_dimension a8`` is the tangent dimension there, the
+largest presentation the ``points`` benchmark times.  ``seeds explore
+markov-4000`` walks the first 4000 clusters of the Markov catalog seed,
+whose names grow by a prime along every path, and reads no expansion.
 ``rational substitute`` substitutes x_k' = P_k/x_k
 into every coefficient of the chart form of mu_k(seed), and ``pullback``
 pulls that form back to the seed, for every direction k of the a3 and
@@ -127,8 +131,10 @@ def point_cases():
     at8 = {nm: G(k + 2, k % 3 - 1) for k, nm in enumerate(a8.names)}
     for nm, partner, rel in zip(a8.names, a8.primed_names, a8.relations):
         at8[partner] = -rel.evaluate({**at8, partner: 0}) / at8[nm]   # x * x' = P
-    jacobian = [[rel.partial(nm).evaluate(at8) for nm in a8.table.names]
-                for rel in a8.relations]
+    partials = [[rel.partial(nm) for nm in a8.table.names] for rel in a8.relations]
+    jacobian = [[p.evaluate(at8) for p in row] for row in partials]
+    yield "laurent evaluate a8-jacobian", [partial(p.evaluate, at8)
+                                           for row in partials for p in row if p] * 20
     yield "exact rank a8", [partial(rank, jacobian)] * 20
     seed = linear_seed(5)
     names = seed.names
@@ -145,6 +151,8 @@ def point_cases():
     yield "seeds exploration a5", [partial(Exploration, a5.seeds, a5.truncated)] * 4
     yield "seeds relations a5", [lambda: Exploration(a5.seeds, a5.truncated).relations()] * 4
     yield "seeds explore a6", [partial(explore, linear_seed(6))] * 4
+    yield "seeds explore markov-4000", [partial(explore, catalog("markov").seed,
+                                                max_seeds=4000)]
     cyclic = linear_seed(6)
     for k in (5, 4, 3, 4):
         cyclic = cyclic.mutated(k)

@@ -64,6 +64,12 @@ class _UsageError(Exception):
     """Bad invocation or bad input: exit 2 with one line on stderr."""
 
 
+# C0 and C1 controls and the Unicode line and paragraph separators, every
+# character that can break a line, as escapes: a diagnostic quoting an
+# argument or a path stays on its one line
+_ESCAPES = {c: ascii(chr(c))[1:-1] for c in (*range(32), *range(127, 160), 0x2028, 0x2029)}
+
+
 class _Parser(argparse.ArgumentParser):
     """An argparse parser, and its subparsers, whose errors are ``_UsageError``."""
 
@@ -75,11 +81,11 @@ def _read_file(path):
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise _UsageError(f"cannot read {path}: not UTF-8 text "
                           f"({exc.reason} at offset {exc.start})") from None
+    except (OSError, ValueError) as exc:    # ValueError: a NUL in the path
+        raise _UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _resolve_seed(token):
@@ -450,7 +456,7 @@ def _run(argv):
         print(f"no {exc.what} found: {exc}")
         return 1
     except (InputFileError, _UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_ESCAPES)}", file=sys.stderr)
         return 2
 
 

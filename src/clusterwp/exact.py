@@ -8,6 +8,12 @@ common: every catalog expansion has integer coefficients) needs no gcd at
 all.  Every operation is exact; there is no floating point anywhere in this
 package.  Q(i) is enough to express all constants the built-in examples
 need (integers, -1/2, the square roots of -1).
+
+This is the one module that reads the triple.  Besides the field
+operations it serves kernels that run on Gaussian integers and reduce
+once: ``rank``, and ``_monomial_sum``, the value of a sum of monomials at
+a point, which evaluates ``LaurentPoly.evaluate`` and the exchange
+binomials P+ + P- of point propagation and verification.
 """
 
 from __future__ import annotations
@@ -190,6 +196,43 @@ def _gaussian_integers(values):
     is the way back."""
     d = lcm(*(z._d for z in values))
     return [(z._a * (d // z._d), z._b * (d // z._d)) for z in values], d
+
+
+def _monomial_sum(terms, base):
+    """The sum over ``terms``, pairs of a coefficient c and its ``(name,
+    e)`` factors, of c times each ``base[name] ** e``; a value of the
+    mapping ``base`` is coerced when read.  Raises KeyError for a name that
+    ``base`` lacks and ZeroDivisionError for a negative power of zero.  Each
+    monomial is a Gaussian integer over its own denominator, a negative
+    power of (x + y*i)/q being that of q*(x - y*i)/(x^2 + y^2); the
+    monomials add over a common denominator, reduced once at the end."""
+    sa, sb, sd = 0, 0, 1
+    for c, factors in terms:
+        a, b, d = c._a, c._b, c._d
+        for name, e in factors:
+            z = base[name]
+            if type(z) is not GaussianRational:
+                z = GaussianRational.of(z)
+            x, y, q = z._a, z._b, z._d
+            if e < 0:
+                if y:
+                    x, y, q = q * x, -q * y, x * x + y * y
+                elif x:
+                    x, q = (q, x) if x > 0 else (-q, -x)
+                else:
+                    raise ZeroDivisionError(f"{name} = 0 raised to power {e}")
+                e = -e
+            if e == 1:
+                a, b, d = a * x - b * y, a * y + b * x, d * q
+            else:
+                for _ in range(e):
+                    a, b = a * x - b * y, a * y + b * x
+                d *= q ** e
+        if d == sd:
+            sa, sb = sa + a, sb + b
+        else:
+            sa, sb, sd = sa * d + a * sd, sb * d + b * sd, sd * d
+    return _reduced(sa, sb, sd)
 
 
 def _coerce(value):

@@ -26,8 +26,9 @@ Representation choices that the rest of the package leans on:
   denominator each, the remainder is rescaled when a leading coefficient
   does not divide exactly, and its grlex-leading term comes from a heap
   with lazy deletion (after Monagan-Pearce, *Sparse polynomial division
-  using a heap*, J. Symb. Comp. 2011).  Squares, which serve ``**``, run
-  on the same representation; other products stay on Q(i) objects.
+  using a heap*, J. Symb. Comp. 2011).  Squares, which serve ``**``, and
+  evaluation at a point, through ``exact._monomial_sum``, run on Gaussian
+  integers too; other products stay on Q(i) objects.
 * The monomial order is graded lexicographic in table order; it makes
   single-divisor exact division deterministic and terminating once the
   monomial content has been stripped.
@@ -42,7 +43,8 @@ from operator import add, sub
 from typing import Iterator, Mapping
 
 from clusterwp.exact import (
-    _ONE, GaussianRational, _coerce, _gaussian_integers, _part_strs, _power, _reduced)
+    _ONE, GaussianRational, _coerce, _gaussian_integers, _monomial_sum, _part_strs, _power,
+    _reduced)
 
 
 class LaurentError(Exception):
@@ -141,7 +143,7 @@ def _grlex(exps) -> tuple:
 class LaurentPoly:
     """Sparse Laurent polynomial over Q(i) on a fixed VarTable."""
 
-    __slots__ = ("table", "terms")
+    __slots__ = ("table", "terms", "_factors")
 
     def __init__(self, table: VarTable, terms: Mapping[tuple, object]):
         width = len(table)
@@ -353,21 +355,27 @@ class LaurentPoly:
         """Exact evaluation; distinct errors for the distinct failure modes.
         UnboundVariable, for the first variable in table order that occurs
         and has no value, is raised before any other error."""
-        names = self.table.names
-        for k, name in enumerate(names):
-            if name not in values and any(exps[k] for exps in self.terms):
-                raise UnboundVariable(f"no value for variable {name!r}")
-        total = GaussianRational.of(0)
-        for exps, c in self.terms.items():
-            term = c
-            for name, e in zip(names, exps):
-                if e:
-                    base = GaussianRational.of(values[name])
-                    if not base and e < 0:
-                        raise NegativePowerOfZero(f"{name} = 0 raised to power {e}")
-                    term = term * base ** e
-            total = total + term
-        return total
+        try:
+            return _monomial_sum(self._monomials(), values)
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            for k, name in enumerate(self.table.names):
+                if name not in values and any(exps[k] for exps in self.terms):
+                    raise UnboundVariable(f"no value for variable {name!r}") from None
+            if type(exc) is ZeroDivisionError:
+                raise NegativePowerOfZero(*exc.args) from None
+            raise
+
+    def _monomials(self) -> list:
+        """The terms as ``_monomial_sum`` reads them, each coefficient with
+        its ``(name, exponent)`` factors of nonzero exponent; built on the
+        first evaluation and kept, as a polynomial's terms never change."""
+        try:
+            return self._factors
+        except AttributeError:
+            names = self.table.names
+            self._factors = [(c, [(nm, e) for nm, e in zip(names, exps) if e])
+                             for exps, c in self.terms.items()]
+            return self._factors
 
     def weighted_degree(self, weights: Mapping[str, int]) -> int:
         """Common weighted degree of all terms, else Inhomogeneous."""

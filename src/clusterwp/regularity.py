@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import (_ONE, GaussianParseError, GaussianRational, format_gaussian,
-                    parse_gaussian, rank)
+from .exact import (_ONE, GaussianParseError, GaussianRational, _monomial_sum,
+                    format_gaussian, parse_gaussian, rank)
 from .forms import SymbolicForm, _dlog_coefficients, _log_matrix
 from .laurent import LaurentPoly, UnboundVariable, VarTable, _check_name
 from .seeds import (
@@ -27,7 +27,6 @@ from .seeds import (
     _content_lines,
     _exchange_monomials,
     _exchange_partner,
-    _exchange_sum,
     _partner_names,
     _walk,
     _walk_namer,
@@ -71,7 +70,7 @@ class AlgebraPoint:
 def _exchange_value(rel, a):
     """P = P+ + P- of an exchange relation at an assignment ``a`` that
     assigns every factor."""
-    return _exchange_sum(rel.pos, rel.neg, lambda name, e: a[name] ** e, _ONE)
+    return _monomial_sum(((_ONE, rel.pos), (_ONE, rel.neg)), a)
 
 
 def _binomial_values(a):

@@ -15,9 +15,8 @@ A new variable is named by a namer ``(seed, k) -> name``, by default
 ``prime_namer``, primed until fresh among the seed's names or all the names
 a walk has given (``_walk_namer``).  A seed's partners are the first ring
 of a walk from it, so ``explore``, ``present`` and both searches agree.
-Only ``_exchange_monomials`` reads P+ and P- off a matrix row and only
-``_exchange_sum`` adds them, in any ring; a seed's chart, all that forms
-read of it, is ``_chart(seed)``: its matrix and names.
+Only ``_exchange_monomials`` reads P+ and P- off a matrix row; a seed's
+chart, all that forms read of it, is ``_chart(seed)``: its matrix and names.
 """
 
 from __future__ import annotations
@@ -174,17 +173,26 @@ def prime_toggle(name):
 
 
 def _fresh(name, taken):
-    """``name``, primed until it is not in the set ``taken``; adds it there."""
+    """``name``, primed until it is not a key of the dict ``taken``, which
+    then takes it.  A key's value is None or a candidate, the key with more
+    primes, such that every name from the key up to the candidate is taken.
+    The names passed over skip to the result primed once, so a walk's naming
+    stays linear in its names however long their runs of primes grow."""
+    passed = []
     while name in taken:
-        name += "'"
-    taken.add(name)
+        passed.append(name)
+        name = taken[name] or name + "'"
+    taken[name] = None
+    skip = name + "'"
+    for nm in passed:
+        taken[nm] = skip
     return name
 
 
 def prime_namer(seed, k):
     """The default namer: the prime-toggle of the name at slot k, with primes
     appended until it differs from every name of the seed and is not reserved."""
-    return _fresh(prime_toggle(seed.names[k - 1]), {*seed.names, *_RESERVED})
+    return _fresh(prime_toggle(seed.names[k - 1]), dict.fromkeys((*seed.names, *_RESERVED)))
 
 
 def _walk_namer(seed, namer=prime_namer):
@@ -192,7 +200,7 @@ def _walk_namer(seed, namer=prime_namer):
     variable that replaces slot k of s is told apart by g-vector (``g``, if
     given): the first time it is met it is named ``namer(s, k)``, a valid
     name, primed until it differs from every name given so far; it keeps it."""
-    names, taken = dict(zip(seed.gvectors, seed.names)), set(seed.names)
+    names, taken = dict(zip(seed.gvectors, seed.names)), dict.fromkeys(seed.names)
 
     def name(s, k, g=None):
         g = s._partner_gvector(k) if g is None else g
@@ -227,19 +235,14 @@ def _exchange_monomials(row, names):
             tuple((nm, -b) for nm, b in zip(names, row) if b < 0))
 
 
-def _exchange_sum(pos, neg, power, one):
-    """P+ + P- of the factors ``pos`` and ``neg`` in any ring: ``power(name,
-    e)`` gives a factor to the power e > 0, and a monomial with no factor is
-    the ring's ``one``."""
+def _exchange_binomial(chart, k, power, table):
+    """P_k = P+ + P- of row k of a chart ``(matrix, names)`` over ``table``,
+    ``power(name, e)`` giving a factor to the power e > 0."""
+    matrix, names = chart
+    pos, neg = _exchange_monomials(matrix.rows[k - 1], names)
+    one = LaurentPoly.constant(table, 1)
     return (prod([power(nm, e) for nm, e in pos], start=one)
             + prod([power(nm, e) for nm, e in neg], start=one))
-
-
-def _exchange_binomial(chart, k, power, table):
-    """P_k = P+ + P- of row k of a chart ``(matrix, names)`` over ``table``."""
-    matrix, names = chart
-    return _exchange_sum(*_exchange_monomials(matrix.rows[k - 1], names), power,
-                         LaurentPoly.constant(table, 1))
 
 
 def _exchange_partner(chart, k, power, table):

@@ -870,6 +870,17 @@ def test_bad_invocations_are_one_line_usage_errors(capsys, argv, message):
     assert assert_usage_error(capsys, *argv).startswith(message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["explore", "a3", "a\nb"], "error: unrecognized arguments: a\\nb\n"),
+    (["equal", "sl2", "/no\nx", "y"],
+     "error: cannot read /no\\nx: No such file or directory\n"),
+    # open() refuses a NUL with ValueError, not OSError
+    (["equal", "sl2", "/no\x00x", "y"], "error: cannot read /no\\x00x: embedded null byte\n"),
+], ids=["argument", "path", "nul"])
+def test_control_characters_in_a_diagnostic_are_escaped(capsys, argv, message):
+    assert assert_usage_error(capsys, *argv) == message
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -1130,25 +1141,35 @@ def small_seed_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+# argv text with every kind of line break ``str.splitlines`` knows, and
+# other control characters
+CONTROL_TEXT = st.text(st.sampled_from("ab -\n\r\t\x00\x0b\x0c\x1b\x1c\x7f\x85\u2028\u2029"),
+                       min_size=1, max_size=6)
+
+
 @settings(max_examples=150, deadline=None)
-@given(small_seed_texts())
-@example("rank 2\nmutable 2\nnames v0 v1\nrow 0 1\nrow -2 0\n")
-@example("rank 2\nmutable 2\nnames x x'\nrow 0 1\nrow -1 0\n")
-def test_cli_exit_code_contract_fuzz(text):
+@given(small_seed_texts(), CONTROL_TEXT)
+@example("rank 2\nmutable 2\nnames v0 v1\nrow 0 1\nrow -2 0\n", "\n")
+@example("rank 2\nmutable 2\nnames x x'\nrow 0 1\nrow -1 0\n", "a\r\nb")
+def test_cli_exit_code_contract_fuzz(text, junk):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.seed")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         for command in FUZZ_COMMANDS:
             argv = [path if a == "SEED" else a for a in command]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = main(argv)
-            assert rc in (0, 1, 2), (argv, text)
-            if rc == 2:
-                assert len(err.getvalue().splitlines()) == 1, (argv, text)
-            if rc == 0 and command[0] == "mutate":
-                parse_seed_file(out.getvalue())
+            # the same command with the text as an extra argument, and with
+            # a seed path that holds the text
+            for args in (argv, argv + [junk],
+                         [path + junk if a == "SEED" else a for a in command]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = main(args)
+                assert rc in (0, 1, 2), (args, text)
+                if rc == 2:
+                    assert len(err.getvalue().splitlines()) == 1, (args, text)
+                if rc == 0 and command[0] == "mutate":
+                    parse_seed_file(out.getvalue())
 
 
 @settings(max_examples=150, deadline=None)

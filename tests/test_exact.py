@@ -451,14 +451,14 @@ def test_microbench_smoke(capsys):
     script = Path(__file__).parent.parent / "scripts" / "microbench.py"
     runpy.run_path(str(script))["main"](repeat=1)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 31 and all(line.endswith(" us/call") for line in lines)
+    assert len(lines) == 33 and all(line.endswith(" us/call") for line in lines)
     for label in ("gaussian ** integral", "gaussian ** non-integral",
                   "laurent square markov-60", "laurent cube markov-60",
                   "laurent divide_exact markov-60",
                   "laurent divide_exact non-monic", "laurent to_expr markov-60",
                   "seeds exploration a5", "seeds relations a5", "seeds explore a6",
-                  "seeds acyclic-search a6",
-                  "exact rank a8",
+                  "seeds explore markov-4000", "seeds acyclic-search a6",
+                  "laurent evaluate a8-jacobian", "exact rank a8",
                   "regularity propagate_point a5",
                   "regularity verify_point a5", "regularity deep_witness a5",
                   "regularity tangent_dimension a5", "regularity tangent_dimension a8",

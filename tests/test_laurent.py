@@ -25,7 +25,7 @@ from operator import add, mul
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterwp.catalog import CATALOG_KEYS, catalog
@@ -530,6 +530,8 @@ def test_evaluate_errors_are_distinct():
         (X0 * X1, {}, UnboundVariable, "no value for variable 'x0'"),
         # an unassigned variable wins over a zero base
         (X0 ** -1 + X1, {"x0": 0}, UnboundVariable, "no value for variable 'x1'"),
+        # and over a value that is not a scalar
+        (X0 + X1, {"x0": 1.5}, UnboundVariable, "no value for variable 'x1'"),
         (X0 ** -1, {"x0": 0, "x1": 1}, NegativePowerOfZero, "x0 = 0 raised to power -1"),
     ]:
         assert _evaluation(poly.evaluate, values) == (error, message)
@@ -845,14 +847,20 @@ _COEFFS = st.one_of(_PARTS.map(G), st.builds(G, _PARTS, _PARTS))
 _LITERAL_PARTS = st.one_of(st.sampled_from([0, 1, -1]), _PARTS)
 
 
-def random_polys(table):
+def random_polys(table, coeffs=_COEFFS):
     """Up to four terms with Gaussian-rational coefficients, about half of
     them with a nonzero imaginary part."""
     exps = st.tuples(*[st.integers(min_value=-3, max_value=3)] * len(table))
-    term = st.tuples(exps, _COEFFS)
+    term = st.tuples(exps, coeffs)
     return st.lists(term, min_size=0, max_size=4).map(
         lambda items: LaurentPoly(table, dict(items))
     )
+
+
+# values with denominators up to 10**6, non-real parts and zeros
+_BIG_PARTS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+_BIG_VALUES = st.one_of(st.just(G(0)), _BIG_PARTS.map(G), st.builds(G, _BIG_PARTS, _BIG_PARTS))
+_Q = G(Fraction(1, 3), Fraction(-2, 7))
 
 
 def wide_polys(table):
@@ -885,3 +893,29 @@ def divisors(table):
         terms[poly.leading_exponents()] = c
         return LaurentPoly(table, terms)
     return st.builds(with_lead, random_polys(table).filter(bool), lead)
+
+
+# ---------------------------------------------------------------------------
+# evaluation at large denominators
+# ---------------------------------------------------------------------------
+
+@given(random_polys(T3, _BIG_VALUES),
+       st.fixed_dictionaries({nm: _BIG_VALUES for nm in T3.names}),
+       st.sets(st.sampled_from(T3.names), max_size=1))
+# terms that cancel: the sum is the canonical zero (0, 0, 1)
+@example(X0 - X1, {"x0": _Q, "x1": _Q}, set())
+# coefficients over different denominators
+@example(LaurentPoly(T2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)}),
+         {"x0": G(1), "x1": G(Fraction(5, 7))}, set())
+# negative powers of non-real bases
+@example(LaurentPoly(T2, {(-2, 0): 1, (1, -1): G(0, 1)}),
+         {"x0": G(Fraction(1, 5), Fraction(2, 5)), "x1": G(3, -4)}, set())
+# x1, unbound and later in table order, wins over x0 = 0 to the power -1
+@example(X0 ** -1 + X1, {"x0": G(0), "x1": G(1)}, {"x1"})
+@settings(max_examples=150, deadline=None)
+def test_evaluate_matches_the_reference_at_large_denominators(f, values, unbound):
+    values = {nm: v for nm, v in values.items() if nm not in unbound}
+    got, want = _evaluation(f.evaluate, values), _evaluation(reference_evaluate, f, values)
+    assert got == want
+    if isinstance(want, G):     # the same reduced triple
+        assert (got._a, got._b, got._d) == (want._a, want._b, want._d)

@@ -6,7 +6,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterwp import regularity as regularity_module
@@ -37,6 +37,7 @@ from clusterwp.regularity import (
 )
 from clusterwp.seeds import (
     ExchangeMatrix,
+    ExchangeRelation,
     Exploration,
     NotFoundWithinBudget,
     Presentation,
@@ -159,6 +160,29 @@ def _reference_value(rel, a):
                 + prod([a[name] ** e for name, e in rel.neg], start=one))
     except KeyError:
         return None
+
+
+# values with denominators up to 10**6, non-real parts and zeros
+_BIG_PARTS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+_BIG_VALUES = st.one_of(st.just(GaussianRational(0)), _BIG_PARTS.map(GaussianRational),
+                        st.builds(GaussianRational, _BIG_PARTS, _BIG_PARTS))
+_FACTORS = st.lists(st.tuples(st.sampled_from("abc"), st.integers(1, 3)), max_size=3,
+                    unique_by=lambda factor: factor[0]).map(tuple)
+_Q = GaussianRational(Fraction(1, 3), Fraction(-2, 7))
+
+
+@given(_FACTORS, _FACTORS, st.fixed_dictionaries(dict.fromkeys("abc", _BIG_VALUES)))
+# P+ and P- cancel: the sum is the canonical zero (0, 0, 1)
+@example((("a", 1),), (("b", 1),), {"a": _Q, "b": -_Q, "c": GaussianRational(0)})
+# monomials over different denominators, one of them non-real
+@example((("a", 2),), (("b", 1), ("c", 3)),
+         {"a": GaussianRational(Fraction(1, 2)), "b": GaussianRational(Fraction(1, 3)),
+          "c": GaussianRational(Fraction(2, 5), Fraction(-1, 5))})
+@settings(max_examples=150, deadline=None)
+def test_exchange_value_matches_the_reference(pos, neg, a):
+    rel = ExchangeRelation(0, 1, "f", None, pos, neg, 0)
+    got, want = regularity_module._exchange_value(rel, a), _reference_value(rel, a)
+    assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
 
 
 def reference_verify_point(point):

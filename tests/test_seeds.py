@@ -450,6 +450,32 @@ def test_explore_names_are_fresh_in_the_exploration():
     assert e.n_variables == 5 and not e.truncated
 
 
+def reference_fresh(name, taken):
+    """The loop that ``_fresh`` replaced: one prime at a time until the name
+    is free, so a walk whose names grow runs of primes names in cubic time."""
+    while name in taken:
+        name += "'"
+    taken[name] = None
+    return name
+
+
+def test_fresh_skips_runs_of_taken_names():
+    taken = dict.fromkeys(("x", "x'", "x''", "y"))
+    assert seeds_module._fresh("x'", taken) == "x'''"
+    assert seeds_module._fresh("x", taken) == "x''''"
+    assert seeds_module._fresh("y'", taken) == "y'"
+    # each name passed over now skips to the name given, primed once
+    assert taken["x"] == taken["x'"] == "x'''''"
+
+
+def test_walk_names_match_the_one_prime_at_a_time_loop(monkeypatch):
+    # Markov's names grow by a prime along every path of its walk
+    names = [s.names for s in explore(markov_seed(), max_seeds=3000).seeds]
+    monkeypatch.setattr(seeds_module, "_fresh", reference_fresh)
+    assert [s.names for s in explore(markov_seed(), max_seeds=3000).seeds] == names
+    assert max(len(nm) for ns in names for nm in ns) > 100
+
+
 def test_initial_seed_rejects_repeated_names():
     # one name for two variables would let explore walk with it
     with pytest.raises(ValueError, match="duplicate variable name: 'x'"):
