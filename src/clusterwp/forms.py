@@ -40,7 +40,7 @@ from .exprs import ExprError, parse_expression
 from .laurent import (
     Inhomogeneous, LaurentError, LaurentPoly, NotLaurent, RationalFn, VarTable,
     _check_name)
-from .seeds import InputFileError, _chart, _content_lines, _exchange_partner
+from .seeds import InputFileError, _chart, _content_lines, _partner
 
 
 FormFileError = InputFileError
@@ -255,10 +255,8 @@ def pullback(form, target, k):
                          f"seed at direction {k}")
     if partner_name in target.names:
         raise ValueError(f"duplicate variable name: {partner_name!r}")
-    chart_table = target.chart()
-    gens = {nm: LaurentPoly.variable(chart_table, nm) for nm in target.names}
-    gens[partner_name] = _exchange_partner(_chart(target), k, lambda nm, e: gens[nm] ** e,
-                                           chart_table)
+    gens = {nm: LaurentPoly.variable(target.chart(), nm) for nm in target.names}
+    gens[partner_name] = _partner(target, k)
     return _reduce(form.terms, gens, target)
 
 

@@ -26,7 +26,7 @@ from .seeds import (
     _chart,
     _content_lines,
     _exchange_monomials,
-    _exchange_partner,
+    _partner,
     _partner_names,
     _walk,
     _walk_namer,
@@ -302,11 +302,8 @@ def regularize_at(seed, pattern, namer=prime_namer):
                     f"with their columns; B_{i}{j} = {mat.b(i, j)} but "
                     f"B_{j}{i} = {mat.b(j, i)}")
 
-    chart_table = seed.chart()
     partners = _partner_names(seed, namer)
-    extras = {partners[i - 1]: _exchange_partner(
-        _chart(seed), i, lambda nm, e: LaurentPoly.monomial(chart_table, {nm: e}),
-        chart_table) for i in v_sorted}
+    extras = {partners[i - 1]: _partner(seed, i) for i in v_sorted}
 
     sym_table = VarTable(seed.names + tuple(extras))
     terms = []

@@ -15,8 +15,10 @@ A new variable is named by a namer ``(seed, k) -> name``, by default
 ``prime_namer``, primed until fresh among the seed's names or all the names
 a walk has given (``_walk_namer``).  A seed's partners are the first ring
 of a walk from it, so ``explore``, ``present`` and both searches agree.
-Only ``_exchange_monomials`` reads P+ and P- off a matrix row; a seed's
-chart, all that forms read of it, is ``_chart(seed)``: its matrix and names.
+Only ``_exchange_monomials`` reads P+ and P- off a matrix row, and only
+``_partner`` builds a partner P+/x_k + P-/x_k over a seed's own variables;
+a seed's chart, all that forms read of it, is ``_chart(seed)``: its matrix
+and names.
 """
 
 from __future__ import annotations
@@ -235,22 +237,14 @@ def _exchange_monomials(row, names):
             tuple((nm, -b) for nm, b in zip(names, row) if b < 0))
 
 
-def _exchange_binomial(chart, k, power, table):
-    """P_k = P+ + P- of row k of a chart ``(matrix, names)`` over ``table``,
-    ``power(name, e)`` giving a factor to the power e > 0."""
-    matrix, names = chart
-    pos, neg = _exchange_monomials(matrix.rows[k - 1], names)
-    one = LaurentPoly.constant(table, 1)
-    return (prod([power(nm, e) for nm, e in pos], start=one)
-            + prod([power(nm, e) for nm, e in neg], start=one))
-
-
-def _exchange_partner(chart, k, power, table):
-    """x_k' = P_k / x_k, x_k being ``power(name, 1)``.  Raises NotLaurent if
-    that is not Laurent.  It divides through RationalFn, where a monomial x_k
-    normalizes to a denominator of 1 without a division."""
-    binomial = _exchange_binomial(chart, k, power, table)
-    return (binomial / power(chart[1][k - 1], 1)).as_laurent()
+def _partner(seed, k):
+    """The once-mutated partner x_k' = P+ x_k^-1 + P- x_k^-1 over
+    ``seed.chart()``: row k has B_kk = 0, so x_k is in neither monomial and
+    the partner is two Laurent monomials, with no division."""
+    table, x_k = seed.chart(), seed.names[k - 1]
+    pos, neg = _exchange_monomials(seed.matrix.rows[k - 1], seed.names)
+    return (LaurentPoly.monomial(table, {**dict(pos), x_k: -1})
+            + LaurentPoly.monomial(table, {**dict(neg), x_k: -1}))
 
 
 @dataclass(frozen=True)
@@ -446,12 +440,13 @@ def acyclic_presentation(seed, namer=prime_namer):
     primed_names = _partner_names(seed, namer)
     table = VarTable(seed.names + primed_names)
     gens = {nm: LaurentPoly.variable(table, nm) for nm in table.names}
-    relations = tuple(
-        gens[nm] * gens[partner]
-        - _exchange_binomial(_chart(seed), i, lambda g, e: gens[g] ** e, table)
-        for i, (nm, partner) in enumerate(zip(seed.names, primed_names), 1))
+    relations = []
+    for row, nm, partner in zip(seed.matrix.rows, seed.names, primed_names):
+        pos, neg = (LaurentPoly.monomial(table, dict(factors))
+                    for factors in _exchange_monomials(row, seed.names))
+        relations.append(gens[nm] * gens[partner] - (pos + neg))
     return Presentation(seed.names, primed_names, seed.names[seed.matrix.m:], table,
-                        relations)
+                        tuple(relations))
 
 
 @dataclass(frozen=True)
@@ -524,10 +519,14 @@ class Exploration:
         table = self.seeds[0].chart()
         variables = {nm: LaurentPoly.variable(table, nm) for nm in self.seeds[0].names}
         power = cache(lambda name, e: variables[name] ** e)
-        # a parent's chart carries the exploration's names, as __init__ checks
+        one = LaurentPoly.constant(table, 1)
+        # a parent's names are the exploration's, as __init__ checks
         for name, parent, k in self._new:
+            pos, neg = _exchange_monomials(parent.matrix.rows[k - 1], parent.names)
+            binomial = (prod([power(nm, e) for nm, e in pos], start=one)
+                        + prod([power(nm, e) for nm, e in neg], start=one))
             try:
-                variables[name] = _exchange_partner(_chart(parent), k, power, table)
+                variables[name] = (binomial / variables[parent.names[k - 1]]).as_laurent()
             except NotLaurent as exc:   # pragma: no cover - Laurent phenomenon
                 raise MutationArithmeticError(f"{name} is not Laurent") from exc
         return variables

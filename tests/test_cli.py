@@ -26,6 +26,7 @@ from clusterwp import seeds as seeds_module
 from clusterwp.catalog import catalog
 from clusterwp.cli import _build_parser, main
 from clusterwp.forms import parse_form_file, reduce_to_chart, wp_form
+from clusterwp.laurent import RationalFn
 from clusterwp.regularity import find_regularizing_seed
 from clusterwp.seeds import emit_seed_file, explore, is_acyclic, parse_seed_file
 
@@ -810,9 +811,9 @@ def test_deep_file_seed_does_no_exchange_divisions(capsys, tmp_path, monkeypatch
     point = tmp_path / "p.point"
     point.write_text("a = 0\nb = 0\nc = 0\n")
     calls = []
-    partner = seeds_module._exchange_partner
-    monkeypatch.setattr(seeds_module, "_exchange_partner",
-                        lambda *args: calls.append(args[1]) or partner(*args))
+    as_laurent = RationalFn.as_laurent
+    monkeypatch.setattr(RationalFn, "as_laurent",
+                        lambda self: calls.append(self) or as_laurent(self))
     rc, out, _ = run(capsys, "deep", str(seed), "--point", str(point),
                      "--max-seeds", "120")
     assert (rc, calls) == (1, [])

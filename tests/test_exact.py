@@ -466,3 +466,35 @@ def test_microbench_smoke(capsys):
                   "wp_form a3/markov", "check_invariance a3/markov d4",
                   "regularize_at a3", "exprs parse a4-rewrite", "equal a4-rewrite"):
         assert any(line.startswith(label) for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# line-count script
+# ---------------------------------------------------------------------------
+
+LOC_SNIPPET = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment keeps its line
+
+
+# a comment line
+def f(x,
+      y):
+    """Function docstring."""
+    total = (x +
+             y)
+    return total \\
+        + os.sep.count("#")
+'''
+
+
+def test_line_counter_leaves_out_blank_comment_and_docstring_lines(capsys):
+    script = runpy.run_path(str(Path(__file__).parent.parent / "scripts" / "loc.py"))
+    # 14 lines: 2 of module docstring, 3 blank, 1 comment, 1 function docstring
+    assert script["count_lines"](LOC_SNIPPET) == (14, 7)
+    script["main"]()
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[-1][0] == "total" and "seeds.py" in [row[0] for row in rows]
+    assert [sum(int(row[c]) for row in rows[:-1]) for c in (1, 2)] == list(
+        map(int, rows[-1][1:]))

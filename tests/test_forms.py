@@ -39,8 +39,9 @@ from clusterwp.forms import (
 from clusterwp.laurent import Inhomogeneous, LaurentPoly, NotLaurent, RationalFn, VarTable
 from clusterwp.regularity import HypothesisViolated, VanishingPattern, regularize_at
 from clusterwp.seeds import (
-    ExchangeMatrix, Seed, _chart, _exchange_monomials, _exchange_partner, _partner_names,
+    ExchangeMatrix, Seed, _chart, _exchange_monomials, _partner_names,
     acyclic_presentation, explore, is_acyclic, parse_seed_file, prime_namer)
+from test_seeds import reference_partner
 
 SL2 = Seed.initial(ExchangeMatrix(1, 3, ((0, 1, 1),)), ("x", "c1", "c2"))
 A3 = Seed.initial(
@@ -584,8 +585,8 @@ def reference_regularize_at(seed, pattern):
     chart_table = seed.chart()
     chart_vars = {nm: LaurentPoly.variable(chart_table, nm) for nm in seed.names}
     partners = _partner_names(seed, prime_namer)
-    extras = {partners[i - 1]: _exchange_partner(
-        _chart(seed), i, lambda nm, e: chart_vars[nm] ** e, chart_table) for i in vanishing}
+    extras = {partners[i - 1]: reference_partner(_chart(seed), i, chart_vars)
+              for i in vanishing}
     sym_table = VarTable(seed.names + tuple(extras))
     var = {nm: LaurentPoly.variable(sym_table, nm) for nm in sym_table.names}
     terms = []

@@ -4,15 +4,16 @@ import itertools
 from collections import deque
 from dataclasses import astuple
 from itertools import islice
+from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterwp import seeds as seeds_module
 from clusterwp.catalog import CATALOG_KEYS, catalog
-from clusterwp.laurent import LaurentPoly, VarTable
+from clusterwp.laurent import LaurentPoly, RationalFn, VarTable
 from clusterwp.seeds import (
     ExchangeMatrix,
     ExchangeRelation,
@@ -36,8 +37,9 @@ from clusterwp.seeds import (
 )
 from clusterwp.regularity import constant_vanishing_oracle, find_regularizing_seed
 from clusterwp.seeds import (
+    _chart,
     _exchange_monomials,
-    _exchange_partner,
+    _partner,
     _walk,
     _walk_namer,
 )
@@ -686,9 +688,9 @@ def test_the_walk_never_steps_back_along_its_arrival_edge(monkeypatch, walk):
 
 def test_exchange_divisions_once_per_variable(monkeypatch):
     calls = []
-    partner = seeds_module._exchange_partner
-    monkeypatch.setattr(seeds_module, "_exchange_partner",
-                        lambda *args: calls.append(args[1]) or partner(*args))
+    as_laurent = RationalFn.as_laurent
+    monkeypatch.setattr(RationalFn, "as_laurent",
+                        lambda self: calls.append(self) or as_laurent(self))
     e = explore(a3_seed())
     e.relations()
     assert e.n_variables == 9
@@ -777,6 +779,20 @@ def test_explore_does_not_revalidate_matrices(monkeypatch):
 # g-vector keys against the expansion-keyed walk
 # ---------------------------------------------------------------------------
 
+def reference_partner(chart, k, values):
+    """x_k' = P_k / x_k for row k of a chart ``(matrix, names)``, with each
+    name read as its value in ``values``, Laurent polynomials over one
+    table: the binomial P+ + P- is formed, then divided by x_k through
+    RationalFn.  The oracle of ``seeds._partner``, and the partner of the
+    reference walk, which substitutes expansions."""
+    matrix, names = chart
+    pos, neg = _exchange_monomials(matrix.rows[k - 1], names)
+    one = LaurentPoly.constant(values[names[k - 1]].table, 1)
+    binomial = (prod([values[nm] ** e for nm, e in pos], start=one)
+                + prod([values[nm] ** e for nm, e in neg], start=one))
+    return (binomial / values[names[k - 1]]).as_laurent()
+
+
 def expansion_walk(seed, max_depth):
     """Reference walk: every cluster carries its variables' expansions in
     the start chart and is keyed by their sorted canonical keys, as before
@@ -801,8 +817,7 @@ def expansion_walk(seed, max_depth):
         by_name = dict(zip(t_names, expansions))
         for k in range(1, matrix.m + 1):
             new = list(expansions)
-            new[k - 1] = _exchange_partner((matrix, t_names), k,
-                                           lambda nm, e: by_name[nm] ** e, table)
+            new[k - 1] = reference_partner((matrix, t_names), k, by_name)
             if key(new) in seen:
                 continue
             seen.add(key(new))
@@ -898,11 +913,11 @@ def test_g_vectors_are_degrees_of_principal_expansions(rows):
 
 
 @st.composite
-def skew_symmetrizable_seeds(draw):
+def skew_symmetrizable_seeds(draw, max_frozen=2):
     """B = S D with S skew-symmetric and D a positive diagonal, plus up to
-    two frozen columns."""
+    ``max_frozen`` frozen columns."""
     m = draw(st.integers(1, 3))
-    frozen = draw(st.integers(0, 2))
+    frozen = draw(st.integers(0, max_frozen))
     d = [draw(st.integers(1, 2)) for _ in range(m)]
     rows = [[0] * (m + frozen) for _ in range(m)]
     for i in range(m):
@@ -913,6 +928,28 @@ def skew_symmetrizable_seeds(draw):
             rows[i][j] = draw(st.integers(-2, 2))
     matrix = ExchangeMatrix(m, m + frozen, tuple(tuple(row) for row in rows))
     return Seed.initial(matrix, [f"v{i}" for i in range(m + frozen)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_symmetrizable_seeds(max_frozen=3), st.lists(st.integers(1, 3), max_size=3))
+# rank 1, row 0: P+ = P- = 1 and the partner is 2/x
+@example(Seed.initial(ExchangeMatrix(1, 1, ((0,),)), ("x",)), [])
+# row 1 has no P- and its P+ holds the frozen column; row 2 has no P+
+@example(Seed.initial(ExchangeMatrix(2, 3, ((0, 1, 2), (-1, 0, 0))), ("a", "b", "c")), [])
+def test_partner_is_the_divided_binomial_term_for_term(seed, directions):
+    # term for term in dict order: the num/den term lists of the forms
+    # built over a partner follow that order
+    for k in directions:
+        seed = seed.mutated((k - 1) % seed.matrix.m + 1)
+    table = seed.chart()
+    variables = {nm: LaurentPoly.variable(table, nm) for nm in seed.names}
+    for k in range(1, seed.matrix.m + 1):
+        partner = _partner(seed, k)
+        assert partner.table is table
+        assert (list(partner.terms.items())
+                == list(reference_partner(_chart(seed), k, variables).terms.items()))
+    if seed.matrix.rows == ((0,),):
+        assert _partner(seed, 1).to_expr() == f"2*{seed.names[0]}^-1"
 
 
 @settings(max_examples=150, deadline=None)
