@@ -26,7 +26,10 @@ the rank of the Jacobian of the A_8 acyclic presentation at one fixed Q(i)
 point of the variety, ``laurent evaluate a8-jacobian`` evaluates each
 nonzero entry of that Jacobian, a partial of a relation, at the point, and
 ``regularity tangent_dimension a8`` is the tangent dimension there, the
-largest presentation the ``points`` benchmark times.  ``seeds explore
+largest presentation the ``points`` benchmark times; there no chart variable
+vanishes.  ``regularity tangent_dimension a8-deep`` is the tangent dimension
+of the same presentation at a point where c, e and g vanish (b + d = d + f =
+f + h = 0), so three relations' rows are left to eliminate.  ``seeds explore
 markov-4000`` walks the first 4000 clusters of the Markov catalog seed,
 whose names grow by a prime along every path, and reads no expansion.
 ``rational substitute`` substitutes x_k' = P_k/x_k
@@ -126,11 +129,19 @@ def linear_seed(n):
     return Seed.initial(ExchangeMatrix(n, n, rows), tuple("abcdefgh"[:n]))
 
 
+def a8_point(pres, chart):
+    """The A_8 chart values ``chart`` and each partner x' = P/x (x * x' = P),
+    or 1+i where x = 0, which the caller keeps to zeros of P."""
+    at = dict(zip(pres.names, chart))
+    for nm, partner, rel in zip(pres.names, pres.primed_names, pres.relations):
+        at[partner] = -rel.evaluate({**at, partner: 0}) / at[nm] if at[nm] else G(1, 1)
+    return at
+
+
 def point_cases():
     a8 = acyclic_presentation(linear_seed(8))
-    at8 = {nm: G(k + 2, k % 3 - 1) for k, nm in enumerate(a8.names)}
-    for nm, partner, rel in zip(a8.names, a8.primed_names, a8.relations):
-        at8[partner] = -rel.evaluate({**at8, partner: 0}) / at8[nm]   # x * x' = P
+    at8 = a8_point(a8, [G(k + 2, k % 3 - 1) for k in range(8)])
+    deep8 = a8_point(a8, [G(3, -1), G(1, 1), G(0), G(-1, -1), G(0), G(1, 1), G(0), G(-1, -1)])
     partials = [[rel.partial(nm) for nm in a8.table.names] for rel in a8.relations]
     jacobian = [[p.evaluate(at8) for p in row] for row in partials]
     yield "laurent evaluate a8-jacobian", [partial(p.evaluate, at8)
@@ -148,6 +159,8 @@ def point_cases():
     yield "regularity tangent_dimension a5", [partial(tangent_dimension, pres, at)] * 20
     yield "regularity tangent_dimension a8", [partial(tangent_dimension, a8,
                                                       AlgebraPoint(at8, a8))] * 20
+    yield "regularity tangent_dimension a8-deep", [partial(tangent_dimension, a8,
+                                                           AlgebraPoint(deep8, a8))] * 20
     yield "seeds exploration a5", [partial(Exploration, a5.seeds, a5.truncated)] * 4
     yield "seeds relations a5", [lambda: Exploration(a5.seeds, a5.truncated).relations()] * 4
     yield "seeds explore a6", [partial(explore, linear_seed(6))] * 4
@@ -218,7 +231,7 @@ def equal_cases():
 def main(repeat=5):
     for label, calls in [*scalar_cases(), *laurent_cases(), *point_cases(),
                          *form_cases(), *equal_cases()]:
-        print(f"{label:34s} {per_call_us(calls, repeat):10.2f} us/call")
+        print(f"{label:36s} {per_call_us(calls, repeat):10.2f} us/call")
 
 
 if __name__ == "__main__":

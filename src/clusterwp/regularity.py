@@ -363,20 +363,21 @@ def find_regularizing_seed(start, v_oracle, max_depth=SEARCH_DEPTH, max_seeds=MA
 
 
 def tangent_dimension(presentation, point):
-    """Dimension of the Zariski tangent space at a valid, fully-assigned
-    point: (number of generators) - rank(Jacobian of the relations)."""
-    names = presentation.table.names
-    missing = [nm for nm in names if nm not in point.assignment]
+    """Dimension of the Zariski tangent space at a valid, fully-assigned point:
+    (number of generators) - rank(Jacobian), where a row with x_i != 0 has its
+    own pivot, x_i in column x_i' (``Presentation``), and the rest are ranked."""
+    a = point.assignment
+    missing = [nm for nm in presentation.table.names if nm not in a]
     if missing:
         raise ValueError(f"unassigned generator(s): {', '.join(missing)}")
-    issues = verify_point(AlgebraPoint(point.assignment, presentation))
+    issues = verify_point(AlgebraPoint(a, presentation))
     if issues:
         raise ValueError(f"not a point of the algebra: {issues[0]}")
-    # most partials are the zero polynomial, whose value is exactly 0
+    # n + m generators less m - |Z| pivots and the rank of Z, the rows with x_i = 0
+    rows = [row for nm, row in zip(presentation.names, presentation._jacobian) if not a[nm]]
     zero = GaussianRational(0)
-    jacobian = [[p.evaluate(point.assignment) if p else zero for p in row]
-                for row in presentation._jacobian]
-    return len(names) - rank(jacobian)
+    return len(presentation.names) + len(rows) - rank(
+        [[p.evaluate(a) if p else zero for p in row] for row in rows])
 
 
 @dataclass(frozen=True)

@@ -412,11 +412,10 @@ def find_acyclic_seed(seed, max_seeds=MAX_SEEDS, max_depth=MAX_DEPTH):
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators-and-relations chart of an acyclic seed.
-
-    Generators are the seed's variables followed by the once-mutated partners
-    of the mutable ones; relation i is x_i * x_i' - P_i with P_i the exchange
-    binomial of row i."""
+    """Generators-and-relations chart of an acyclic seed: its variables, then
+    the once-mutated partners of the mutable ones.  Relation i is x_i * x_i' -
+    P_i, P_i the exchange binomial of row i in the seed's variables, so x_i'
+    occurs in relation i alone and its partial by x_j' is x_i if j = i, else 0."""
 
     names: tuple
     primed_names: tuple

@@ -451,7 +451,7 @@ def test_microbench_smoke(capsys):
     script = Path(__file__).parent.parent / "scripts" / "microbench.py"
     runpy.run_path(str(script))["main"](repeat=1)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 33 and all(line.endswith(" us/call") for line in lines)
+    assert len(lines) == 34 and all(line.endswith(" us/call") for line in lines)
     for label in ("gaussian ** integral", "gaussian ** non-integral",
                   "laurent square markov-60", "laurent cube markov-60",
                   "laurent divide_exact markov-60",
@@ -462,6 +462,7 @@ def test_microbench_smoke(capsys):
                   "regularity propagate_point a5",
                   "regularity verify_point a5", "regularity deep_witness a5",
                   "regularity tangent_dimension a5", "regularity tangent_dimension a8",
+                  "regularity tangent_dimension a8-deep",
                   "rational substitute a3/markov", "pullback a3/markov",
                   "wp_form a3/markov", "check_invariance a3/markov d4",
                   "regularize_at a3", "exprs parse a4-rewrite", "equal a4-rewrite"):

@@ -10,7 +10,11 @@ columns; the c3 and m2 depth-4 transcripts were captured from the chained
 pullbacks, the g2 one from the Laurent push-forward that preceded the
 integer dlog carry), of the commands
 that name new variables (``present``, ``mutate``, ``regularize`` without a
-search, ``tangent`` over a catalog presentation), of ``deep`` runs (the
+search, ``tangent`` over a catalog presentation), of ``tangent`` over the
+presentations of ``d4.seed`` and ``g2-frozen.seed`` at points where no, one
+or two chart variables vanish (no point of ``g2-frozen.seed`` has two: its
+two mutable variables are exchange-adjacent, so where one vanishes the
+other's binomial is a frozen monomial), of ``deep`` runs (the
 a3 catalog deep point, the affine window's ``p0`` and an sl2 point that
 leaves a cluster undetermined), one status per cluster, of ``equal`` runs whose
 difference has a denominator of more than one term (the a3 and markov
@@ -66,6 +70,15 @@ CASES = [
     ("mutate-affine-a11-121", 0, ["mutate", "affine-a11", "1", "2", "1"]),
     ("regularize-sl2-1", 0, ["regularize", "sl2", "--pattern", "1"]),
     ("tangent-a3-deep", 0, ["tangent", "a3", "--point", "@a3-deep.point"]),
+    ("tangent-d4-torus", 0, ["tangent", "@d4.seed", "--point", "@d4-torus.point"]),
+    ("tangent-d4-b-zero", 0, ["tangent", "@d4.seed", "--point", "@d4-b-zero.point"]),
+    ("tangent-d4-bc-zero", 0, ["tangent", "@d4.seed", "--point", "@d4-bc-zero.point"]),
+    ("tangent-g2-frozen-torus", 0,
+     ["tangent", "@g2-frozen.seed", "--point", "@g2-frozen-torus.point"]),
+    ("tangent-g2-frozen-a-zero", 0,
+     ["tangent", "@g2-frozen.seed", "--point", "@g2-frozen-a-zero.point"]),
+    ("tangent-g2-frozen-b-zero", 0,
+     ["tangent", "@g2-frozen.seed", "--point", "@g2-frozen-b-zero.point"]),
     ("deep-a3", 0, ["deep", "a3", "--point", "@a3-deep.point"]),
     ("deep-affine-a11-p0", 0, ["deep", "affine-a11", "--point", "@affine-a11-p0.point"]),
     ("deep-sl2-x-zero", 1, ["deep", "sl2", "--point", "@sl2-x-zero.point"]),

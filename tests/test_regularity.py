@@ -49,6 +49,7 @@ from clusterwp.seeds import (
     parse_seed_file,
 )
 from test_exact import reference_rank
+from test_seeds import G2_FROZEN, acyclic_seeds
 
 I = GaussianRational(0, 1)
 
@@ -801,15 +802,14 @@ def path_presentation(orientation):
 
 
 @st.composite
-def path_points(draw):
-    """A point of an A_3..A_8 path presentation: chart values drawn with
-    many zeros, a zero whose binomial P does not vanish there made 1 until
-    none is left, then each partner P/x, or, where x = 0, drawn and often
-    0 (as at the singular point of A_3)."""
-    pres = path_presentation(tuple(draw(st.lists(st.sampled_from((1, -1)),
-                                                 min_size=2, max_size=7))))
-    a = {nm: GaussianRational.of(draw(st.sampled_from((0, 0, 0, -1, -1, 1, I, 2))))
-         for nm in pres.names}
+def points_on(draw, pres):
+    """A point of ``pres``: chart values drawn with many zeros, frozen ones
+    units (so binomials cancel more often), a zero whose binomial P does not
+    vanish there made 1 until none is left, then each partner P/x, or, where
+    x = 0, drawn and often 0 (as at the singular point of A_3)."""
+    a = {nm: GaussianRational.of(draw(st.sampled_from(
+        (-1, 1, I, -I) if nm in pres.frozen_names else (0, 0, 0, -1, -1, 1, I, 2))))
+        for nm in pres.names}
     while True:
         chart_only = {**a, **dict.fromkeys(pres.primed_names, 0)}
         binomials = [-rel.evaluate(chart_only) for rel in pres.relations]
@@ -819,12 +819,55 @@ def path_points(draw):
         a[stuck[0]] = GaussianRational(1)
     for nm, partner, p in zip(pres.names, pres.primed_names, binomials):
         a[partner] = p / a[nm] if a[nm] else draw(st.sampled_from((0, 0, 0, 1, I)))
-    return pres, AlgebraPoint(a, pres)
+    return AlgebraPoint(a, pres)
+
+
+@st.composite
+def path_points(draw):
+    """A point of an A_3..A_8 path presentation, by ``points_on``."""
+    pres = path_presentation(tuple(draw(st.lists(st.sampled_from((1, -1)),
+                                                 min_size=2, max_size=7))))
+    return pres, draw(points_on(pres))
 
 
 @settings(max_examples=150, deadline=None)
 @given(path_points())
 def test_tangent_matches_the_dense_reference_on_path_presentations(case):
+    pres, point = case
+    assert tangent_dimension(pres, point) == reference_tangent_dimension(pres, point)
+
+
+@st.composite
+def acyclic_points(draw):
+    """A point of the presentation of a seed from ``acyclic_seeds``, by
+    ``points_on``."""
+    pres = acyclic_presentation(draw(acyclic_seeds()))
+    return pres, draw(points_on(pres))
+
+
+def _point(seed, values):
+    pres = acyclic_presentation(seed)
+    return pres, AlgebraPoint(dict(zip(pres.table.names, values)), pres)
+
+
+D4 = Seed.initial(ExchangeMatrix(4, 4, ((0, 1, 1, 1), (-1, 0, 0, 0), (-1, 0, 0, 0),
+                                        (-1, 0, 0, 0))), ("a", "b", "c", "d"))
+# two isolated mutable indices, x_i * x_i' = f_i + 1, both 0 at f = -1
+ISOLATED = Seed.initial(ExchangeMatrix(2, 4, ((0, 0, 1, 0), (0, 0, 0, 1))),
+                        ("x", "y", "f", "g"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(acyclic_points())
+# random points seldom have two vanishing rows: b = c = 0 at a = -1, where
+# rows b and c are equal (rank 1 of 2) and, with b', c' nonzero, independent
+@example(_point(D4, (-1, 0, 0, I, -1, 0, 0, 0)))
+@example(_point(D4, (-1, 0, 0, I, -1, 1, I, 0)))
+# every mutable variable vanishes, beside two frozen ones
+@example(_point(ISOLATED, (0, 0, -1, -1, 1, 0)))
+@example(_point(G2_FROZEN, (0, -1, 1, 1, 5, -1)))
+@example(_point(G2_FROZEN, (I, 1, 2, -1, -3 * I, GaussianRational(-2, -1))))
+def test_tangent_matches_the_dense_reference_on_acyclic_presentations(case):
     pres, point = case
     assert tangent_dimension(pres, point) == reference_tangent_dimension(pres, point)
 

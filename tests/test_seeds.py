@@ -952,6 +952,50 @@ def test_partner_is_the_divided_binomial_term_for_term(seed, directions):
         assert _partner(seed, 1).to_expr() == f"2*{seed.names[0]}^-1"
 
 
+@st.composite
+def acyclic_seeds(draw):
+    """An acyclic B = S D, S skew-symmetric and D a diagonal of 1, 2 and 3
+    (so B_2 and G_2 pairs): each pair of the 1-4 mutable indices is joined
+    by 0, 1 or 2 arrows, all pointing up one drawn order (so forests, trees,
+    acyclic triangles and double arrows), plus up to three frozen columns."""
+    m = draw(st.integers(1, 4))
+    frozen = draw(st.integers(0, 3))
+    d = [draw(st.integers(1, 3)) for _ in range(m)]
+    place = draw(st.permutations(range(m)))
+    rows = [[0] * (m + frozen) for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            s = draw(st.integers(0, 2)) * (1 if place[i] < place[j] else -1)
+            rows[i][j], rows[j][i] = s * d[j], -s * d[i]
+        for j in range(m, m + frozen):
+            rows[i][j] = draw(st.integers(-2, 2))
+    matrix = ExchangeMatrix(m, m + frozen, tuple(tuple(row) for row in rows))
+    return Seed.initial(matrix, [f"v{i}" for i in range(m + frozen)])
+
+
+G2_FROZEN = Seed.initial(ExchangeMatrix(2, 4, ((0, 1, 2, -1), (-3, 0, 1, 1))),
+                         ("a", "b", "f", "g"))
+# a triangle 1 -> 2 -> 3 <- 1 with a double arrow 1 => 2
+TRIANGLE = Seed.initial(ExchangeMatrix(3, 3, ((0, 2, 1), (-2, 0, 1), (-1, -1, 0))),
+                        ("u", "v", "w"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(acyclic_seeds())
+@example(G2_FROZEN)
+@example(TRIANGLE)
+def test_a_partner_occurs_only_in_its_own_relation(seed):
+    # tangent_dimension ranks by this block structure: the partial of
+    # relation i by x_j' is x_i when j = i and 0 otherwise
+    assert is_acyclic(seed.matrix)
+    pres = acyclic_presentation(seed)
+    for i, rel in enumerate(pres.relations):
+        for j, partner in enumerate(pres.primed_names):
+            expected = (LaurentPoly.variable(pres.table, pres.names[i]) if j == i
+                        else LaurentPoly.zero(pres.table))
+            assert rel.partial(partner) == expected
+
+
 @settings(max_examples=150, deadline=None)
 @given(skew_symmetrizable_seeds())
 def test_g_vector_walk_matches_expansion_walk_random(seed):
