@@ -43,16 +43,26 @@ seed's form at each of the four nonempty vanishing patterns it accepts.
 file, the regularization rewrite of its chart form at the vanishing set
 {c, d}, and ``equal a4-rewrite`` is what ``clusterwp equal`` computes on
 that file and the chart form's file: both parsed, reduced to the chart and
-compared.
+compared.  ``startup import clusterwp.cli`` is the set-up every CLI run
+pays: the least, over ``repeat`` fresh interpreters started one at a time
+with ``src/`` on the path, of the cumulative microseconds that ``python3
+-X importtime -c "import clusterwp.cli"`` reports for ``clusterwp`` and
+``clusterwp.cli``.  The interpreters inherit the environment, so where
+``PYTHONDONTWRITEBYTECODE`` is set and ``src/`` has no bytecode each one
+compiles the package too.
 
 Usage:  python3 scripts/microbench.py [--repeat N]
 """
 
 import argparse
 import operator
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from functools import partial, reduce
+from pathlib import Path
 
 from clusterwp import (
     AlgebraPoint,
@@ -228,10 +238,27 @@ def equal_cases():
     yield "equal a4-rewrite", [equal] * 16
 
 
+def import_us(repeat):
+    """Least cumulative microseconds of ``import clusterwp.cli`` over
+    ``repeat`` interpreters: the sum of the ``-X importtime`` lines of
+    ``clusterwp`` and ``clusterwp.cli`` imported at top level."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    totals = []
+    for _ in range(repeat):
+        report = subprocess.run([sys.executable, "-X", "importtime", "-c", "import clusterwp.cli"],
+                                env=env, capture_output=True, text=True, check=True).stderr
+        totals.append(sum(int(line.split("|")[1]) for line in report.splitlines()
+                          if line.split("|")[-1] in (" clusterwp", " clusterwp.cli")))
+    return min(totals)
+
+
 def main(repeat=5):
     for label, calls in [*scalar_cases(), *laurent_cases(), *point_cases(),
                          *form_cases(), *equal_cases()]:
         print(f"{label:36s} {per_call_us(calls, repeat):10.2f} us/call")
+    print(f"{'startup import clusterwp.cli':36s} {import_us(repeat):10.2f} us/call")
 
 
 if __name__ == "__main__":

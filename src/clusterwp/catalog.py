@@ -29,33 +29,32 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
 
 from .exact import GaussianRational
-from .forms import SymbolicForm, parse_form_file
+from .forms import parse_form_file
 from .regularity import AlgebraPoint, verify_point
 from .seeds import (
     ExchangeMatrix,
     Exploration,
-    Presentation,
     Seed,
+    _Record,
     acyclic_presentation,
     explore,
     prime_namer,
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    key: str
-    description: str
-    seed: Seed
-    namer: Callable[[Seed, int], str]
-    exploration: Exploration
-    presentation: Optional[Presentation]
-    points: Mapping[str, AlgebraPoint]
-    forms: Mapping[str, SymbolicForm]
+class CatalogEntry(_Record):
+    """A catalog key's seed, its namer ``(seed, k) -> name``, exploration and
+    presentation (None if it has none), and its named points and forms,
+    each a dict: so an entry has no hash."""
+
+    __slots__ = ("key", "description", "seed", "namer", "exploration", "presentation",
+                 "points", "forms")
+
+    def __init__(self, key, description, seed, namer, exploration, presentation, points,
+                 forms):
+        self._fill(key, description, seed, namer, exploration, presentation, points, forms)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,14 @@ def _check_name(name, taken=()):
     return name
 
 
+def _exponents(exps, width):
+    """``exps`` as a tuple of ``width`` ints, one per variable, else ValueError."""
+    t = tuple(exps)
+    if len(t) != width or not _INT.issuperset(map(type, t)):
+        raise ValueError(f"exponent vector {t} is not {width} ints, one per variable")
+    return t
+
+
 class VarTable:
     """Ordered, duplicate-free tuple of variable names.
 
@@ -149,10 +157,7 @@ class LaurentPoly:
         width = len(table)
         clean = {}
         for exps, coeff in terms.items():
-            t = tuple(exps)
-            if len(t) != width or not _INT.issuperset(map(type, t)):
-                raise ValueError(
-                    f"exponent vector {t} is not {width} ints, one per variable")
+            t = _exponents(exps, width)
             c = GaussianRational.of(coeff)
             if c:
                 clean[t] = c
@@ -177,13 +182,18 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, table: VarTable, exps, coeff=1) -> "LaurentPoly":
-        """Build coeff * prod(x_v^e_v); exps is a name->exp map or a vector."""
+        """Build coeff * prod(x_v^e_v); exps is a name->exp map or a vector.
+        The one term is checked as ``LaurentPoly(table, {exps: coeff})``
+        checks it, with no loop over terms."""
+        width = len(table.names)
         if isinstance(exps, Mapping):
-            vec = [0] * len(table)
+            vec = [0] * width
             for name, e in exps.items():
                 vec[table.index(name)] = e
-            exps = tuple(vec)
-        return cls(table, {tuple(exps): coeff})
+            exps = vec
+        t = _exponents(exps, width)
+        c = GaussianRational.of(coeff)
+        return _trusted(table, {t: c} if c else {})
 
     # -- predicates ------------------------------------------------------
 

@@ -10,8 +10,6 @@ whenever no two vanishing variables are exchange-adjacent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exact import (_ONE, GaussianParseError, GaussianRational, _monomial_sum,
                     format_gaussian, parse_gaussian, rank)
 from .forms import SymbolicForm, _dlog_coefficients, _log_matrix
@@ -21,13 +19,13 @@ from .seeds import (
     InputFileError,
     NotFoundWithinBudget,
     Presentation,
-    Seed,
     _budgeted,
     _chart,
     _content_lines,
     _exchange_monomials,
     _partner,
     _partner_names,
+    _Record,
     _walk,
     _walk_namer,
     prime_namer,
@@ -53,18 +51,15 @@ class NoForcedSuccessor(RuntimeError):
                          f"index {index}")
 
 
-@dataclass(frozen=True)
-class AlgebraPoint:
+class AlgebraPoint(_Record):
     """Partial assignment name -> GaussianRational with an optional relation
-    context (Presentation or Exploration)."""
+    context (Presentation or Exploration).  The assignment is a dict, so a
+    point has no hash."""
 
-    assignment: dict
-    context: object = None
+    __slots__ = ("assignment", "context")
 
-    def __post_init__(self):
-        coerced = {name: GaussianRational.of(v) for name, v in
-                   self.assignment.items()}
-        object.__setattr__(self, "assignment", coerced)
+    def __init__(self, assignment, context=None):
+        self._fill({name: GaussianRational.of(v) for name, v in assignment.items()}, context)
 
 
 def _exchange_value(rel, a):
@@ -197,22 +192,22 @@ def propagate_point(point, exploration):
     return AlgebraPoint(a, exploration), issues
 
 
-@dataclass(frozen=True)
-class VanishingPattern:
-    """Mutable chart indices whose variables vanish at a point."""
+class VanishingPattern(_Record):
+    """Mutable chart indices, a frozenset, whose variables vanish at a point
+    of a seed's chart."""
 
-    seed: Seed
-    indices: frozenset
+    __slots__ = ("seed", "indices")
 
-    def __post_init__(self):
-        m = self.seed.matrix.m
-        for i in self.indices:
-            if not (1 <= i <= self.seed.matrix.n):
-                raise ValueError(f"index {i} outside 1..{self.seed.matrix.n}")
+    def __init__(self, seed, indices):
+        m, n = seed.matrix.m, seed.matrix.n
+        for i in indices:
+            if not (1 <= i <= n):
+                raise ValueError(f"index {i} outside 1..{n}")
             if i > m:
                 raise ValueError(
                     f"index {i} is frozen; frozen variables are invertible "
                     f"and cannot vanish")
+        self._fill(seed, indices)
 
     def names(self):
         return tuple(self.seed.names[i - 1] for i in sorted(self.indices))
@@ -373,20 +368,22 @@ def tangent_dimension(presentation, point):
     issues = verify_point(AlgebraPoint(a, presentation))
     if issues:
         raise ValueError(f"not a point of the algebra: {issues[0]}")
-    # n + m generators less m - |Z| pivots and the rank of Z, the rows with x_i = 0
-    rows = [row for nm, row in zip(presentation.names, presentation._jacobian) if not a[nm]]
+    # n + m generators less m - |Z| pivots and the rank of Z, the rows with
+    # x_i = 0; the partials are formed on the first read of a row of Z
+    z = [i for i, nm in enumerate(presentation.names[:len(presentation.relations)]) if not a[nm]]
     zero = GaussianRational(0)
-    return len(presentation.names) + len(rows) - rank(
-        [[p.evaluate(a) if p else zero for p in row] for row in rows])
+    return len(presentation.names) + len(z) - rank(
+        [[p.evaluate(a) if p else zero for p in presentation._jacobian[i]] for i in z])
 
 
-@dataclass(frozen=True)
-class DeepWitnessReport:
+class DeepWitnessReport(_Record):
     """Per-cluster avoidance statuses plus the overall verdict: deep,
     deep-relative (window truncated), not-deep, or inconclusive."""
 
-    cluster_status: tuple
-    verdict: str
+    __slots__ = ("cluster_status", "verdict")
+
+    def __init__(self, cluster_status, verdict):
+        self._fill(cluster_status, verdict)
 
     @property
     def certified(self):

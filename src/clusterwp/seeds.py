@@ -24,10 +24,10 @@ and names.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import attrgetter
 
 from .laurent import LaurentPoly, NotLaurent, VarTable, _RESERVED, _check_name
 
@@ -61,17 +61,54 @@ class MutationArithmeticError(RuntimeError):
     """A mutation quotient failed to be Laurent (should never happen)."""
 
 
-@dataclass(frozen=True)
-class ExchangeMatrix:
+_set = object.__setattr__   # how a record's __init__ sets its fields, once
+
+
+class _Record:
+    """A frozen record, as ``VarTable`` is: its ``__slots__`` hold its
+    fields, in constructor order, but a slot named ``_...``, which holds a
+    cache built on first read.  ``==`` and ``hash`` take the fields as one
+    tuple, of records of the same class only, and the repr names them.
+    Assigning or deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+        cls._values = attrgetter(*cls._fields)
+
+    def _fill(self, *values):
+        for field, value in zip(self._fields, values):
+            _set(self, field, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):     # copy and pickle build through __init__
+        return type(self), self._values(self)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class ExchangeMatrix(_Record):
     """Integer m x n exchange matrix, a tuple of m tuples of n ints, validated
     skew-symmetrizable on the mutable m x m block at construction."""
 
-    m: int
-    n: int
-    rows: tuple
+    __slots__ = ("m", "n", "rows")
 
-    def __post_init__(self):
-        m, n, rows = self.m, self.n, self.rows
+    def __init__(self, m, n, rows):
         if not (type(m) is type(n) is int and 1 <= m <= n):
             raise ValueError(f"need integers 1 <= mutable <= rank, got {m!r}, {n!r}")
         if type(rows) is not tuple or len(rows) != m:
@@ -82,6 +119,7 @@ class ExchangeMatrix:
             for x in row:
                 if type(x) is not int:
                     raise ValueError(f"matrix entries must be integers, got {x!r}")
+        self._fill(m, n, rows)
         find_skew_symmetrizer(self)
 
     def b(self, i, j):
@@ -152,11 +190,11 @@ def mutate_matrix(matrix, k):
         out.append(row)
     # the one build past ExchangeMatrix's checks: mutation keeps the
     # skew-symmetrizer of a validated matrix (Fomin-Zelevinsky, *Cluster
-    # algebras I*, Prop. 4.5); fields set in order, as __init__ does, keep
-    # the constructor's attribute layout and its fast reads
+    # algebras I*, Prop. 4.5)
     mutated = object.__new__(ExchangeMatrix)
-    for field, value in zip(("m", "n", "rows"), (matrix.m, matrix.n, tuple(out))):
-        object.__setattr__(mutated, field, value)
+    _set(mutated, "m", matrix.m)
+    _set(mutated, "n", matrix.n)
+    _set(mutated, "rows", tuple(out))
     return mutated
 
 
@@ -247,18 +285,20 @@ def _partner(seed, k):
             + LaurentPoly.monomial(table, {**dict(neg), x_k: -1}))
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(_Record):
     """Exchange matrix plus labelled variables, with the g-vectors of all
     ``n`` variables (frozen ones keep their unit vectors) and the c-vectors
     of the ``m`` mutable slots, both relative to principal coefficients at
     the root seed where they are the identity.  ``Seed(...)`` trusts its
     fields; ``Seed.initial`` is the gate for names and matrices from outside."""
 
-    matrix: ExchangeMatrix
-    names: tuple
-    gvectors: tuple
-    cvectors: tuple
+    __slots__ = ("matrix", "names", "gvectors", "cvectors", "_table")
+
+    def __init__(self, matrix, names, gvectors, cvectors):
+        _set(self, "matrix", matrix)
+        _set(self, "names", names)
+        _set(self, "gvectors", gvectors)
+        _set(self, "cvectors", cvectors)
 
     @classmethod
     def initial(cls, matrix, names):
@@ -270,13 +310,13 @@ class Seed:
         return cls(matrix, names, unit, tuple(row[:m] for row in unit[:m]))
 
     def chart(self):
-        """Variable table of this seed's own chart, one per seed."""
-        return self._table
-
-    @cached_property
-    def _table(self):
-        # kept in the instance __dict__, out of the fields and equality
-        return VarTable(self.names)
+        """Variable table of this seed's own chart, one per seed, built on
+        first read."""
+        table = getattr(self, "_table", None)
+        if table is None:
+            table = VarTable(self.names)
+            _set(self, "_table", table)
+        return table
 
     def _partner_gvector(self, k):
         """g-vector of the variable that replaces slot k under mutation:
@@ -410,24 +450,27 @@ def find_acyclic_seed(seed, max_seeds=MAX_SEEDS, max_depth=MAX_DEPTH):
     raise NotFoundWithinBudget("acyclic seed", max_seeds, max_depth)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Record):
     """Generators-and-relations chart of an acyclic seed: its variables, then
     the once-mutated partners of the mutable ones.  Relation i is x_i * x_i' -
     P_i, P_i the exchange binomial of row i in the seed's variables, so x_i'
     occurs in relation i alone and its partial by x_j' is x_i if j = i, else 0."""
 
-    names: tuple
-    primed_names: tuple
-    frozen_names: tuple
-    table: VarTable
-    relations: tuple
+    __slots__ = ("names", "primed_names", "frozen_names", "table", "relations", "_partials")
 
-    @cached_property
+    def __init__(self, names, primed_names, frozen_names, table, relations):
+        self._fill(names, primed_names, frozen_names, table, relations)
+
+    @property
     def _jacobian(self):
-        """Each relation's partials by generator, in table order."""
-        return tuple(tuple(rel.partial(nm) for nm in self.table.names)
-                     for rel in self.relations)
+        """Each relation's partials by generator, in table order, built on
+        first read."""
+        partials = getattr(self, "_partials", None)
+        if partials is None:
+            partials = tuple(tuple(rel.partial(nm) for nm in self.table.names)
+                             for rel in self.relations)
+            _set(self, "_partials", partials)
+        return partials
 
 
 def acyclic_presentation(seed, namer=prime_namer):
@@ -448,21 +491,23 @@ def acyclic_presentation(seed, namer=prime_namer):
                         tuple(relations))
 
 
-@dataclass(frozen=True)
-class ExchangeRelation:
+class ExchangeRelation(_Record):
     """One mutation step recorded against an exploration: the variable
     replaced, its partner's name (if the exploration reached it), the two
     exchange monomials as (name, exponent) factor lists, and ``binomial``,
     the number of P+ + P- among the exploration's distinct binomials in
     order of first appearance: both directions of an edge share it."""
 
-    seed_index: int
-    direction: int
-    var: str
-    partner: str
-    pos: tuple
-    neg: tuple
-    binomial: int
+    __slots__ = ("seed_index", "direction", "var", "partner", "pos", "neg", "binomial")
+
+    def __init__(self, seed_index, direction, var, partner, pos, neg, binomial):
+        _set(self, "seed_index", seed_index)
+        _set(self, "direction", direction)
+        _set(self, "var", var)
+        _set(self, "partner", partner)
+        _set(self, "pos", pos)
+        _set(self, "neg", neg)
+        _set(self, "binomial", binomial)
 
 
 class Exploration:

@@ -451,7 +451,7 @@ def test_microbench_smoke(capsys):
     script = Path(__file__).parent.parent / "scripts" / "microbench.py"
     runpy.run_path(str(script))["main"](repeat=1)
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 34 and all(line.endswith(" us/call") for line in lines)
+    assert len(lines) == 35 and all(line.endswith(" us/call") for line in lines)
     for label in ("gaussian ** integral", "gaussian ** non-integral",
                   "laurent square markov-60", "laurent cube markov-60",
                   "laurent divide_exact markov-60",
@@ -465,7 +465,8 @@ def test_microbench_smoke(capsys):
                   "regularity tangent_dimension a8-deep",
                   "rational substitute a3/markov", "pullback a3/markov",
                   "wp_form a3/markov", "check_invariance a3/markov d4",
-                  "regularize_at a3", "exprs parse a4-rewrite", "equal a4-rewrite"):
+                  "regularize_at a3", "exprs parse a4-rewrite", "equal a4-rewrite",
+                  "startup import clusterwp.cli"):
         assert any(line.startswith(label) for line in lines)
 
 

@@ -100,12 +100,20 @@ def test_monomial_and_scalar_ops():
     lambda: LaurentPoly(T2, {(1,): 1}),
     lambda: LaurentPoly(T2, {(Fraction(1, 2), 0): 0}),     # checked, then pruned
     lambda: LaurentPoly(T2, {(1,): 0}),
+    lambda: LaurentPoly.monomial(T2, (1,)),
+    lambda: LaurentPoly.monomial(T2, (1,), 0),
 ])
 def test_the_gate_rejects_exponents_that_are_not_int_vectors_of_the_width(build):
     # x0^1/2 would print as text that reads back as x0/2, and x0^1.5 would
     # truncate to x0
     with pytest.raises(ValueError, match="exponent vector"):
         build()
+
+
+def test_monomial_rejects_an_unknown_name_and_prunes_a_zero_coefficient():
+    with pytest.raises(KeyError):
+        LaurentPoly.monomial(T2, {"zz": 1})
+    assert LaurentPoly.monomial(T2, (1, 0), 0) == LaurentPoly.zero(T2)
 
 
 def test_negative_power_of_nonmonomial_rejected():

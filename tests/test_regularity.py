@@ -746,6 +746,19 @@ def test_tangent_forms_the_partials_once_per_presentation(monkeypatch):
     assert len(calls) == 3 * 6      # each relation by each generator, once
 
 
+def test_tangent_forms_no_partial_at_a_torus_point(monkeypatch):
+    calls = []
+    partial = LaurentPoly.partial
+    monkeypatch.setattr(LaurentPoly, "partial",
+                        lambda self, name: calls.append(name) or partial(self, name))
+    pres = path_presentation.__wrapped__((1, -1, 1, 1))     # A_5, built afresh
+    a = dict(zip(pres.names, (1, 2, -1, I, GaussianRational(3, -1))))
+    for nm, partner, rel in zip(pres.names, pres.primed_names, pres.relations):
+        a[partner] = -rel.evaluate({**a, partner: 0}) / a[nm]
+    assert tangent_dimension(pres, AlgebraPoint(a, pres)) == 5
+    assert calls == []
+
+
 def test_tangent_rejects_partial_point():
     pres = acyclic_presentation(SL2)
     with pytest.raises(ValueError) as exc:

@@ -2,9 +2,9 @@
 
 import itertools
 from collections import deque
-from dataclasses import astuple
 from itertools import islice
 from math import prod
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -1094,7 +1094,8 @@ def assert_relations_match_reference(e):
     """Every relation equals the reference's field for field, and the
     distinct equations are those the reference's relations give."""
     want = reference_relations(e)
-    assert [astuple(rel) for rel in e.relations()] == [astuple(rel) for rel in want]
+    fields = attrgetter("seed_index", "direction", "var", "partner", "pos", "neg", "binomial")
+    assert [fields(rel) for rel in e.relations()] == [fields(rel) for rel in want]
     fresh = Exploration(e.seeds, e.truncated)
     fresh.__dict__["_relations"] = want
     assert e._equations == fresh._equations
